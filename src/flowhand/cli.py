@@ -98,12 +98,10 @@ def _cmd_design_search(args) -> int:
     targets = DesignTargets(q_ab_lpm=args.q_ab, q_bc_lpm=args.q_bc,
                             q2_activation_lpm=args.q2)
     tuned, report = design_search(targets, system)
-    scanned = ", ".join("none" if s is None else f"{s:.2f}" for s in report.scanned)
-    print(f"targets   (L/min): q_ab {targets.q_ab_lpm:g}, q_bc {targets.q_bc_lpm:g}, "
+    print(f"targets  (L/min): q_ab {targets.q_ab_lpm:g}, q_bc {targets.q_bc_lpm:g}, "
           f"q2 onset {targets.q2_activation_lpm:g}")
-    print(f"bisection (L/min): q_ab {report.achieved[0]:.2f}, "
+    print(f"achieved (L/min): q_ab {report.achieved[0]:.2f}, "
           f"q_bc {report.achieved[1]:.2f}, q2 onset {report.achieved[2]:.2f}")
-    print(f"grid scan (L/min): {scanned}")
     print(f"within {report.tolerance_lpm:g} L/min: "
           f"{'yes' if report.within_tolerance() else 'no'}")
     if args.out:

@@ -26,6 +26,7 @@ ignores would let a typo masquerade as a tuned parameter.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import replace
 from pathlib import Path
 from typing import Any
@@ -74,8 +75,8 @@ SCHEMA: dict[str, frozenset[str]] = {
 
 def _number(value: Any, path: str) -> float:
     # bool is an int subclass; a bare true/false here is always a mistake
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}: expected a number, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
     return float(value)
 
 

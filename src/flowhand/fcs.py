@@ -27,10 +27,11 @@ how the bench data is recorded.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import IntEnum
 
-from .core import PhysConstants, PiecewiseLinearCurve, m3s_to_lpm
+from .core import LPM_PER_M3S, PhysConstants, PiecewiseLinearCurve, m3s_to_lpm
 
 
 class FcsState(IntEnum):
@@ -163,18 +164,11 @@ def classify_state(q_src: float, cfg: FcsConfig, consts: PhysConstants) -> FcsSt
     C once the pinch force reaches the blocking force evaluated at the
     finger-line flow, B in between.
     """
-    q1, q3 = split_flow(q_src, cfg.alpha)
-    f3 = lever_force(q3, cfg.s3, consts.rho_air)
-    if f3 < cfg.f_rot:
-        return FcsState.A
-    f1 = tube_tip_force(f3, cfg.epsilon)
-    if check_blocking(f1, blocking_force(q1, cfg.f_block_curve)):
-        return FcsState.C
-    return FcsState.B
+    return steady_outputs(q_src, cfg, consts).state
 
 
 def steady_outputs(q_src: float, cfg: FcsConfig, consts: PhysConstants) -> FcsOutputs:
-    """Steady flow routing for one source flow [m^3/s].
+    """Steady flow routing and regime for one source flow [m^3/s].
 
     The alpha split applies in every state; whatever a closed branch
     cannot pass is diverted to the exhaust port, so
@@ -187,18 +181,53 @@ def steady_outputs(q_src: float, cfg: FcsConfig, consts: PhysConstants) -> FcsOu
     q1, q3 = split_flow(q_src, cfg.alpha)
     f3 = lever_force(q3, cfg.s3, consts.rho_air)
     f1 = tube_tip_force(f3, cfg.epsilon)
-    state = classify_state(q_src, cfg, consts)
-    if state is FcsState.A:
-        q2 = 0.0
-        q_exhaust = q3
-    elif state is FcsState.B:
-        q2 = cfg.gamma * q3
-        q_exhaust = (1.0 - cfg.gamma) * q3
+    q2 = cfg.gamma * q3
+    if f3 < cfg.f_rot:
+        state, q2, q_exhaust = FcsState.A, 0.0, q3
+    elif check_blocking(f1, blocking_force(q1, cfg.f_block_curve)):
+        state, q1, q_exhaust = FcsState.C, 0.0, q_src - q2
     else:
-        q2 = cfg.gamma * q3
-        q1 = 0.0
-        q_exhaust = q_src - q2
+        state, q_exhaust = FcsState.B, (1.0 - cfg.gamma) * q3
     return FcsOutputs(q1=q1, q2=q2, q_exhaust=q_exhaust, q3=q3, f3=f3, f1=f1, state=state)
+
+
+def lever_flip_flow(cfg: FcsConfig, consts: PhysConstants) -> float:
+    """Source flow [m^3/s] of the A -> B flip: inverts f_rot = rho (alpha q)^2 / s3."""
+    return math.sqrt(cfg.f_rot * cfg.s3 / consts.rho_air) / cfg.alpha
+
+
+def pinch_crossings(cfg: FcsConfig, consts: PhysConstants) -> list[float]:
+    """Source flows [m^3/s] where the pinch force crosses the blocking force.
+
+    The margin g(q) = epsilon rho (alpha q)^2 / s3 - f_block((1-alpha) q)
+    is a quadratic on each piece of the knot curve (the clamp, each
+    interior piece, the extended last piece).  Its roots and the knots
+    cut the flow axis into spans of constant sign; only sign changes
+    count, so a root on a shared knot is listed once and a touching root
+    not at all.  Crossings alternate, upward first (g < 0 at zero flow).
+    """
+    k = cfg.epsilon * consts.rho_air * cfg.alpha ** 2 / cfg.s3
+    c = LPM_PER_M3S * (1.0 - cfg.alpha)    # finger-line L/min per source m^3/s
+    curve = cfg.f_block_curve
+    knots = curve.knots
+    slopes = [0.0] + [(y1 - y0) / (x1 - x0) for (x0, y0), (x1, y1) in zip(knots, knots[1:])]
+    points = [0.0] + [x / c for x, _ in knots]
+    for (x0, y0), m in zip(knots, slopes):
+        # piece line f_block = y0 + m (x - x0): k q^2 - m c q - b = 0,
+        # roots in the cancellation-free form
+        b, mc = y0 - m * x0, m * c
+        disc = mc * mc + 4.0 * k * b
+        if disc >= 0.0 and (big := (mc + math.copysign(math.sqrt(disc), mc)) / (2.0 * k)):
+            points += [big, -b / (k * big)]
+    points = sorted(q for q in points if q >= 0.0)
+    points.append(2.0 * points[-1] + 1.0)    # g > 0 from the last root on
+    crossings, positive = [], False
+    for q0, q1 in zip(points, points[1:]):
+        mid = 0.5 * (q0 + q1)
+        if q1 - q0 > 1e-12 * q1 and (k * mid * mid > curve(c * mid)) != positive:
+            crossings.append(q0)
+            positive = not positive
+    return crossings
 
 
 def calibrate_f_rot(q_ab: float, cfg: FcsConfig, consts: PhysConstants) -> float:

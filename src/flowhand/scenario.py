@@ -13,10 +13,10 @@ whatever air is in the chamber stays there while the switch is in the
 blocked state, and the command maps to a fresh pressure again once the
 line reopens.
 
-Also here: threshold extraction (the simulated counterparts of the
-bench-measured flip points), parameter sweeps over any config key,
-inverse design from target thresholds, and the prototype-table
-validation report.
+Also here: closed-form threshold extraction (the simulated
+counterparts of the bench-measured flip points), parameter sweeps over
+any config key, inverse design from target thresholds, and the
+prototype-table validation report.
 """
 
 from __future__ import annotations
@@ -38,7 +38,8 @@ from .fcs import (
     FcsState,
     blocking_force,
     calibrate_s3,
-    classify_state,
+    lever_flip_flow,
+    pinch_crossings,
     steady_outputs,
 )
 from .finger import FingerConfig, chamber_pressure, bending_radius, mean_displacement, posture, tip_force
@@ -65,7 +66,6 @@ from .tasks import (
 from .venturi import (
     InfeasibleDesignError,
     activation_threshold,
-    bisect_onset,
     injection_active,
     lubricant_column,
     q2_activation_threshold,
@@ -77,6 +77,10 @@ EVENTS = ("grasp", "lift", "place", "pivot")
 CSV_HEADER = "t,q_src_lpm,q1_lpm,q2_lpm,q_exhaust_lpm,state,p_f_kpa,r_mm,f_tip_n,injection,friction"
 
 _EPS = 1e-9
+STATE_CEILING = lpm_to_m3s(150.0)    # supply ceiling for the state flips
+# closed-form thresholds land on target to rounding; a 1 L/min gate alone
+# would pass a 0.5 L/min target at twice its value
+DESIGN_REL_TOLERANCE = 1e-6
 
 
 class SimulationError(RuntimeError):
@@ -353,26 +357,22 @@ def injection_displacement(trace: SimTrace, cfg: FingerConfig) -> float | None:
     return mean_displacement(posture(p_before, cfg), posture(p_after, cfg))
 
 
-def state_thresholds(
-    cfg: FcsConfig,
-    consts: PhysConstants,
-    q_max: float = lpm_to_m3s(150.0),
-    resolution: float = lpm_to_m3s(0.01),
-) -> tuple[float | None, float | None]:
-    """Source flows [m^3/s] at the A -> B and B -> C flips.
+def state_thresholds(cfg: FcsConfig, consts: PhysConstants) -> tuple[float | None, float | None]:
+    """Source flows [m^3/s] at the A -> B and B -> C flips, in closed form.
 
-    Bisection on the state order, to within `resolution`; None where
-    the flip does not happen below q_max (the supply ceiling).
+    B -> C is the pinch crossing above the lever flip, or the flip itself
+    when the lever blocks as it rotates; more than one such crossing
+    makes the state non-monotone in the flow, a ConfigError.  None where
+    a flip does not happen below the 150 L/min supply ceiling.
     """
-
-    def past_a(q: float) -> bool:
-        return classify_state(q, cfg, consts) is not FcsState.A
-
-    def blocked(q: float) -> bool:
-        return classify_state(q, cfg, consts) is FcsState.C
-
-    return (bisect_onset(past_a, 0.0, q_max, resolution),
-            bisect_onset(blocked, 0.0, q_max, resolution))
+    q_ab = lever_flip_flow(cfg, consts)
+    seen = [q for q in pinch_crossings(cfg, consts) if q > q_ab]
+    if len(seen) > 1:
+        at = ", ".join(f"{m3s_to_lpm(q):.6g}" for q in seen)
+        raise ConfigError(f"fcs.f_block_knots: the pinch force crosses the blocking force at "
+                          f"{at} L/min, so the state is not monotone in the source flow")
+    q_bc = seen[0] if seen else q_ab
+    return tuple(q if q <= STATE_CEILING else None for q in (q_ab, q_bc))
 
 
 # --- parameter sweeps -------------------------------------------------
@@ -467,28 +467,18 @@ class DesignTargets:
 class DesignReport:
     """Achieved thresholds next to the targets, L/min.
 
-    `achieved` comes from the bisection search, `scanned` from an
-    independent linear grid scan; both should bracket the target."""
+    `achieved` is read back from the tuned config in closed form and must
+    be within both `tolerance_lpm` and DESIGN_REL_TOLERANCE of each target."""
 
     targets: DesignTargets
     achieved: tuple[float, float, float]
-    scanned: tuple[float | None, float | None, float | None]
     tolerance_lpm: float
 
     def within_tolerance(self) -> bool:
         goals = (self.targets.q_ab_lpm, self.targets.q_bc_lpm,
                  self.targets.q2_activation_lpm)
-        return all(abs(a - g) <= self.tolerance_lpm
+        return all(abs(a - g) <= min(self.tolerance_lpm, DESIGN_REL_TOLERANCE * g)
                    for a, g in zip(self.achieved, goals))
-
-
-def _scan_onset(active, hi: float, step: float) -> float | None:
-    q = 0.0
-    while q <= hi:
-        if active(q):
-            return q
-        q += step
-    return None
 
 
 def design_search(
@@ -500,10 +490,10 @@ def design_search(
     simulated thresholds hit the targets.
 
     Keeps the base split ratio, lever arm ratio, and blocking curve;
-    solves the four free parameters in closed form, then verifies by
-    re-simulating with both the bisection search and an independent
-    grid scan.  Raises InfeasibleDesignError naming the binding
-    constraint when no setting can work.
+    solves the four free parameters in closed form, then reads the
+    thresholds back from the tuned config and gates them on the absolute
+    and the relative tolerance.  Raises InfeasibleDesignError naming the
+    binding constraint when no setting can work.
     """
     base = system or default_system()
     consts = base.consts
@@ -530,34 +520,15 @@ def design_search(
     tuned = replace(base, fcs=tuned_fcs,
                     venturi=replace(base.venturi, s_out=s_out))
 
-    got_ab, got_bc = state_thresholds(tuned_fcs, consts)
-    got_q2 = q2_activation_threshold(tuned.venturi, consts)
-    if got_ab is None or got_bc is None or got_q2 is None:
-        raise InfeasibleDesignError(
-            "verification lost a threshold: "
-            f"got {got_ab}, {got_bc}, {got_q2}")
-    achieved = (m3s_to_lpm(got_ab), m3s_to_lpm(got_bc), m3s_to_lpm(got_q2))
-
-    step = lpm_to_m3s(0.1)
-    scan_ab = _scan_onset(
-        lambda q: classify_state(q, tuned_fcs, consts) is not FcsState.A,
-        lpm_to_m3s(160.0), step)
-    scan_bc = _scan_onset(
-        lambda q: classify_state(q, tuned_fcs, consts) is FcsState.C,
-        lpm_to_m3s(160.0), step)
-    scan_q2 = _scan_onset(
-        lambda q2: injection_active(
-            lubricant_column(q2, q2, tuned.venturi, consts), tuned.venturi.h_t),
-        lpm_to_m3s(100.0), step)
-    scanned = tuple(None if s is None else m3s_to_lpm(s)
-                    for s in (scan_ab, scan_bc, scan_q2))
-
-    report = DesignReport(targets=targets, achieved=achieved,
-                          scanned=scanned, tolerance_lpm=tolerance_lpm)
+    got = (*state_thresholds(tuned_fcs, consts), q2_activation_threshold(tuned.venturi, consts))
+    if None in got:
+        raise InfeasibleDesignError(f"verification lost a threshold: got {got}")
+    achieved = tuple(m3s_to_lpm(q) for q in got)
+    report = DesignReport(targets=targets, achieved=achieved, tolerance_lpm=tolerance_lpm)
     if not report.within_tolerance():
         raise InfeasibleDesignError(
             f"tuned config missed the targets: achieved {achieved}, "
-            f"wanted within {tolerance_lpm} L/min")
+            f"wanted within {tolerance_lpm} L/min and {DESIGN_REL_TOLERANCE:g} relative")
     return tuned, report
 
 

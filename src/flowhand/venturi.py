@@ -21,16 +21,20 @@ section as vented, p_in = 0 gauge.  The full source-balance model adds
 the Bernoulli terms from the air source and the exhaust outlet and
 needs s_src, s_e and p_src to be configured.
 
+The onset and the orifice size invert dp(q2) = rho_lub * g * h_t + p_in
+in closed form; only the full model's onset is bisected.
+
 All inputs are SI (flows m^3/s, areas m^2, pressures Pa gauge unless
 noted absolute).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .core import PhysConstants, lpm_to_m3s
-from .fcs import FcsConfig, steady_outputs
+from .fcs import FcsConfig, lever_flip_flow, steady_outputs
 
 
 class InfeasibleDesignError(ValueError):
@@ -189,11 +193,17 @@ def q2_activation_threshold(
 ) -> float | None:
     """Smallest injection-line flow that starts the injection [m^3/s].
 
-    Bisection on the monotone active/inactive boundary, to within
-    `resolution`; None if still inactive at q2_max.  The source flow is
-    taken equal to q2 (worst case for the full inlet model; irrelevant
-    for the simplified one).
+    Closed form under the simplified inlet.  The full inlet model
+    bisects the monotone active/inactive boundary to within
+    `resolution`, with the source flow taken equal to q2 (the worst
+    case).  None if still inactive at q2_max.
     """
+    if cfg.use_simplified_inlet:
+        # dp(q2) = rho_lub g h_t solved for q2
+        inv_sq = 1.0 / effective_orifice_area(cfg) ** 2 - 1.0 / cfg.s_in ** 2
+        q2_on = math.sqrt(2.0 * consts.rho_lubricant * consts.g * cfg.h_t
+                          / (consts.rho_air * inv_sq))
+        return q2_on if q2_on <= q2_max else None
 
     def active(q2: float) -> bool:
         h_l = lubricant_column(q2, q2, cfg, consts)
@@ -211,13 +221,16 @@ def activation_threshold(
 ) -> float | None:
     """Smallest source flow at which the composed system injects [m^3/s].
 
-    Composes the switch routing (q_src -> q2) with the orifice suction
-    and the column balance, then bisects the active/inactive boundary to
-    within `resolution`.  Returns None ("never activates") if the system
-    is still inactive at the scan ceiling q_src_max.  Assumes activation
-    is monotone in q_src for the given configs, which holds whenever q2
-    is non-decreasing in q_src and the inlet model is the simplified one.
+    Once the lever flips, the injection line carries gamma alpha q_src,
+    so under the simplified inlet the onset is max(q_ab, q2_on / (gamma
+    alpha)).  The full inlet model bisects the (assumed monotone)
+    active/inactive boundary to within `resolution`.  None ("never
+    activates") if the system is still inactive at q_src_max.
     """
+    if cfg.use_simplified_inlet:
+        q2_on = q2_activation_threshold(cfg, consts, q2_max=math.inf)
+        onset = max(lever_flip_flow(fcs, consts), q2_on / (fcs.gamma * fcs.alpha))
+        return onset if onset <= q_src_max else None
 
     def active(q_src: float) -> bool:
         out = steady_outputs(q_src, fcs, consts)
@@ -247,53 +260,36 @@ def size_orifice(
     cfg: VenturiConfig,
     consts: PhysConstants,
     q_src: float | None = None,
-    tol: float = 1e-9,
 ) -> float:
     """Orifice area that puts the injection onset exactly at target_q2 [m^2].
 
     Shrinking the orifice raises the suction at a given flow, so the
-    required area solves dp(target_q2) = rho_lub * g * h_t + p_in by
-    bisection on s_out within (0, s_in), to an area tolerance `tol`.
+    area solves dp(target_q2) = rho_lub * g * h_t + p_in in closed form:
+
+        1 / (c_d s_out)^2 = 2 suction / (rho q2^2) + 1 / s_in^2
+
     With the full inlet model, p_in is evaluated at the supplied q_src
     (required in that case).
 
     Raises InfeasibleDesignError when no s_out < s_in can reach the
-    balance, i.e. when the needed suction is not positive.
+    balance: the needed suction is not positive, or is too small for
+    an orifice with this discharge coefficient.
     """
     if not target_q2 > 0:
         raise ValueError(f"target_q2 must be > 0, got {target_q2}")
     if cfg.use_simplified_inlet:
         p_in = 0.0
+    elif q_src is None:
+        raise ValueError("full inlet model: pass the source flow at the activation point")
     else:
-        if q_src is None:
-            raise ValueError("full inlet model: pass the source flow at the activation point")
         p_in = inlet_pressure(q_src, target_q2, cfg, consts)
 
     suction_needed = consts.rho_lubricant * consts.g * cfg.h_t + p_in
-    if suction_needed <= 0:
-        raise InfeasibleDesignError(
-            "no orifice can set this onset: the required suction is not positive "
-            f"(needed s_out >= s_in; balance pressure {suction_needed:.6g} Pa)"
-        )
-
-    cd = cfg.discharge_coeff
-
-    def excess(s_out: float) -> float:
-        return (
-            orifice_pressure_drop(target_q2, cfg.s_in, cd * s_out, consts.rho_air)
-            - suction_needed
-        )
-
-    hi = cfg.s_in / cd          # no constriction: zero suction, excess < 0
-    lo = hi * 1e-6
-    while excess(lo) < 0:       # widen downward until the suction overshoots
-        lo *= 0.5
-        if lo < 1e-18:
-            raise InfeasibleDesignError("orifice sizing failed to bracket the balance")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if excess(mid) >= 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    if suction_needed > 0:
+        inv_sq = 2.0 * suction_needed / (consts.rho_air * target_q2 ** 2) + 1.0 / cfg.s_in ** 2
+        s_out = 1.0 / (cfg.discharge_coeff * math.sqrt(inv_sq))
+        if s_out < cfg.s_in:
+            return s_out
+    raise InfeasibleDesignError(
+        "no orifice narrower than the inlet can set this onset "
+        f"(balance pressure {suction_needed:.6g} Pa)")

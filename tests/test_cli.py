@@ -98,6 +98,7 @@ def test_design_search_defaults(capsys):
     out = capsys.readouterr().out
     assert "within 1 L/min: yes" in out
     assert "q_bc 118" in out
+    assert "grid scan" not in out
 
 
 def test_design_search_writes_loadable_config(tmp_path, capsys):
@@ -110,6 +111,18 @@ def test_design_search_writes_loadable_config(tmp_path, capsys):
     q_ab, q_bc = state_thresholds(system.fcs, system.consts)
     assert m3s_to_lpm(q_ab) == pytest.approx(20.0, abs=0.05)
     assert m3s_to_lpm(q_bc) == pytest.approx(100.0, abs=0.05)
+
+
+def test_non_monotone_blocking_curve_exits_1(tmp_path, capsys):
+    # a steep step in the blocking force just above the default pinch-off
+    # region: blocked at 85 L/min, open again at 100, blocked above ~205
+    cfg = tmp_path / "steep.json"
+    cfg.write_text(json.dumps(
+        {"fcs": {"f_block_knots": [[1.525, 0.5], [1.61, 3.0], [2.61, 3.0]]}}))
+    assert main(["sweep", "--param", "fcs.epsilon", "--values", "2.6",
+                 "--config", str(cfg)]) == 1
+    assert "not monotone" in capsys.readouterr().err
+    assert main(["validate", "--config", str(cfg)]) == 1
 
 
 def test_design_search_infeasible(capsys):

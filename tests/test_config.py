@@ -119,6 +119,17 @@ def test_numbers_reject_bool_and_strings():
         load_system({"hand": {"n_fingers": 2.5}})
 
 
+def test_numbers_reject_non_finite(tmp_path):
+    with pytest.raises(ConfigError, match="fcs.epsilon: expected a finite number"):
+        load_system({"fcs": {"epsilon": math.inf}})
+    with pytest.raises(ConfigError, match=r"fcs.f_block_knots\[0\]\[1\]"):
+        load_system({"fcs": {"f_block_knots": [[1.7, math.nan]]}})
+    path = tmp_path / "inf.json"
+    path.write_text('{"venturi": {"h_t_mm": Infinity}}')
+    with pytest.raises(ConfigError, match="venturi.h_t_mm"):
+        load_system(path)
+
+
 def test_invalid_value_wrapped_with_section():
     with pytest.raises(ConfigError, match="fcs"):
         load_system({"fcs": {"alpha": 1.5}})

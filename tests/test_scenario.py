@@ -12,6 +12,7 @@ from flowhand.fcs import FcsState
 from flowhand.finger import FingerConfig
 from flowhand.scenario import (
     CSV_HEADER,
+    DesignReport,
     DesignTargets,
     Scenario,
     Segment,
@@ -27,7 +28,7 @@ from flowhand.scenario import (
 )
 from flowhand.system import TABLE1, default_system, prototype
 from flowhand.tasks import FrictionState, GraspScene, PlacementOutcome
-from flowhand.venturi import InfeasibleDesignError
+from flowhand.venturi import InfeasibleDesignError, activation_threshold
 
 GOLDEN = Path(__file__).parent / "data" / "table1_golden.txt"
 
@@ -298,6 +299,15 @@ def test_state_thresholds_reference():
     assert m3s_to_lpm(q_bc) == pytest.approx(118.0, abs=0.05)
 
 
+def test_state_thresholds_are_exact():
+    system = default_system()
+    q_ab, q_bc = state_thresholds(system.fcs, system.consts)
+    assert m3s_to_lpm(q_ab) == pytest.approx(8.1, rel=1e-9)
+    assert m3s_to_lpm(q_bc) == pytest.approx(118.0, rel=1e-9)
+    act = activation_threshold(system.venturi, system.fcs, system.consts)
+    assert m3s_to_lpm(act) == pytest.approx(118.0, rel=1e-9)
+
+
 def test_state_thresholds_can_be_absent():
     stiff = apply_override(default_system(), "fcs.f_rot_N", 1e6)
     q_ab, q_bc = state_thresholds(stiff.fcs, stiff.consts)
@@ -357,10 +367,20 @@ def test_design_search_new_targets():
     assert got_ab == pytest.approx(20.0, abs=0.05)
     assert got_bc == pytest.approx(100.0, abs=0.05)
     assert got_q2 == pytest.approx(30.0, abs=0.05)
-    # the independent grid scan agrees with the bisection to its step
-    for scan, got in zip(report.scanned, report.achieved):
-        assert scan is not None
-        assert abs(scan - got) <= 0.2
+
+
+def test_design_search_small_target_exact():
+    _, report = design_search(DesignTargets(q_ab_lpm=0.5, q_bc_lpm=100.0,
+                                            q2_activation_lpm=30.0))
+    assert report.achieved[0] == pytest.approx(0.5, rel=1e-9)
+
+
+def test_design_report_gates_relative_tolerance():
+    targets = DesignTargets(q_ab_lpm=0.5, q_bc_lpm=100.0, q2_activation_lpm=30.0)
+    # 0.9 is within 1 L/min of 0.5, but 80 % off
+    report = DesignReport(targets=targets, achieved=(0.9, 100.0, 30.0), tolerance_lpm=1.0)
+    assert not report.within_tolerance()
+    assert replace(report, achieved=(0.5, 100.0, 30.0)).within_tolerance()
 
 
 def test_design_search_infeasible_order():

@@ -195,6 +195,11 @@ def test_size_orifice_infeasible_reported():
                       p_src=CONSTS.p_atm)
     with pytest.raises(InfeasibleDesignError):
         size_orifice(lpm_to_m3s(44.0), cfg, CONSTS, q_src=lpm_to_m3s(150.0))
+    # a lossy orifice barely needing suction would have to be wider than
+    # the inlet itself
+    lossy = make_config(h_t=1e-6, discharge_coeff=0.5)
+    with pytest.raises(InfeasibleDesignError, match="narrower than the inlet"):
+        size_orifice(lpm_to_m3s(44.0), lossy, CONSTS)
 
 
 def test_size_orifice_round_trip():
