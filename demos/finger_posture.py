@@ -6,7 +6,7 @@ grows linearly with pressure.  At the top of the motion band the
 finger closes into a half circle.
 """
 
-import numpy as np
+import math
 
 from flowhand.core import lpm_to_m3s
 from flowhand.finger import (
@@ -30,7 +30,7 @@ def main() -> None:
     for q_lpm in (0.0, 10.0, 25.0, 40.0, 50.0):
         p = chamber_pressure(lpm_to_m3s(q_lpm), cfg)
         r = bending_radius(p, cfg)
-        r_mm = "straight" if np.isinf(r) else f"{1000 * r:8.1f}"
+        r_mm = "straight" if math.isinf(r) else f"{1000 * r:8.1f}"
         print(f"{q_lpm:6.0f} {p / 1000:9.2f} {r_mm:>8} {tip_force(p, cfg):10.3f}")
     print()
 

@@ -23,8 +23,7 @@ def describe(name, trace) -> None:
     if trace.lift_ok is not None:
         print(f"  lift           : {'held' if trace.lift_ok else 'slipped'}")
     print(f"  at the drop    : {trace.place_outcome.value}")
-    print(f"  disturbance    : d {trace.delta_d_proxy:.0f}, "
-          f"theta {trace.delta_theta_proxy:.0f}  (0 gentle, 1 jolted)")
+    print(f"  disturbance    : {trace.disturbance_proxy:.0f}  (0 gentle, 1 jolted)")
     states = "".join(s.name for s in trace.state_sequence())
     print(f"  states visited : {states}")
     print()

@@ -7,8 +7,6 @@ pinch the finger line shut and drive the injector (state C).  This
 script sweeps the knob and prints where the machine changes its mind.
 """
 
-import numpy as np
-
 from flowhand.core import lpm_to_m3s, m3s_to_lpm
 from flowhand.fcs import steady_outputs
 from flowhand.scenario import state_thresholds
@@ -27,7 +25,7 @@ def main() -> None:
 
     print(f"{'q_src':>7} {'state':>5} {'q1':>8} {'q2':>8} {'exhaust':>8}   (L/min)")
     last = None
-    for q_lpm in np.arange(0.0, 151.0, 1.0):
+    for q_lpm in range(151):
         out = steady_outputs(lpm_to_m3s(float(q_lpm)), fcs, consts)
         marker = ""
         if last is not None and out.state is not last:

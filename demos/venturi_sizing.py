@@ -8,8 +8,6 @@ injection-line flow, which the switch delivers at a 118 L/min source
 command, then show how the onset moves with the tube height.
 """
 
-import numpy as np
-
 from flowhand.core import PhysConstants, lpm_to_m3s, m3s_to_lpm
 from flowhand.venturi import (
     VenturiConfig,
@@ -35,7 +33,7 @@ def main() -> None:
     print()
 
     print(f"{'q2 [L/min]':>11} {'column rise [mm]':>17}")
-    for q_lpm in np.arange(0.0, 61.0, 5.0):
+    for q_lpm in range(0, 61, 5):
         h = lubricant_column(lpm_to_m3s(float(q_lpm)), lpm_to_m3s(float(q_lpm)),
                              cfg, CONSTS)
         bar = "#" * int(round(1000 * h / 2))

@@ -14,218 +14,10 @@ mm, and kPa appear only in config files, CSV output, and calibration
 curve x-axes.
 """
 
-from .config import (
-    ConfigError,
-    SCHEMA,
-    apply_override,
-    load_system,
-    read_json,
-    system_to_dict,
-)
-from .core import (
-    LPM_PER_M3S,
-    PhysConstants,
-    PiecewiseLinearCurve,
-    kpa_to_pa,
-    lpm_to_m3s,
-    m2_to_mm2,
-    m3s_to_lpm,
-    m_to_mm,
-    mm2_to_m2,
-    mm_to_m,
-    pa_to_kpa,
-)
-from .fcs import (
-    FcsConfig,
-    FcsOutputs,
-    FcsState,
-    blocking_force,
-    calibrate_f_rot,
-    calibrate_s3,
-    check_blocking,
-    classify_state,
-    lever_force,
-    split_flow,
-    steady_outputs,
-    tube_tip_force,
-)
-from .finger import (
-    FingerConfig,
-    FingerPose,
-    bending_radius,
-    chamber_pressure,
-    mean_displacement,
-    posture,
-    tip_force,
-)
-from .scenario import (
-    CSV_HEADER,
-    DesignReport,
-    DesignTargets,
-    Scenario,
-    Segment,
-    SimTrace,
-    SimulationError,
-    StepRecord,
-    SweepRow,
-    Table1Report,
-    Table1Row,
-    design_search,
-    injection_displacement,
-    load_scenario,
-    run_scenario,
-    state_thresholds,
-    sweep,
-    sweep_csv,
-    validate_table1,
-)
-from .system import (
-    DEFAULT_F_BLOCK_KNOTS,
-    INJECTION_COMMAND_LPM,
-    MOTION_MAX_LPM,
-    PrototypeSpec,
-    Q2_ONSET_LPM,
-    Q_AB_LPM,
-    Q_BC_LPM,
-    SystemConfig,
-    TABLE1,
-    blocking_curve,
-    calibrate_blocking_s3,
-    default_system,
-    listed_inversion_s3,
-    measured_alpha,
-    prototype,
-    prototype_fcs_config,
-    reference_gamma,
-)
-from .tasks import (
-    FrictionState,
-    FrictionTracker,
-    GraspScene,
-    HandConfig,
-    PlacementOutcome,
-    can_grasp,
-    friction_state,
-    payload,
-    pivot_feasible,
-    placement_disturbance,
-    placement_slip,
-)
-from .venturi import (
-    InfeasibleDesignError,
-    OrificeFlow,
-    VenturiConfig,
-    activation_threshold,
-    bisect_onset,
-    effective_orifice_area,
-    injection_active,
-    inlet_pressure,
-    lubricant_column,
-    lubricant_rise,
-    orifice_flow,
-    orifice_pressure_drop,
-    q2_activation_threshold,
-    size_orifice,
-)
+from .core import lpm_to_m3s
+from .scenario import Scenario, Segment, run_scenario
+from .tasks import GraspScene
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CSV_HEADER",
-    "ConfigError",
-    "DEFAULT_F_BLOCK_KNOTS",
-    "DesignReport",
-    "DesignTargets",
-    "FcsConfig",
-    "FcsOutputs",
-    "FcsState",
-    "FingerConfig",
-    "FingerPose",
-    "FrictionState",
-    "FrictionTracker",
-    "GraspScene",
-    "HandConfig",
-    "INJECTION_COMMAND_LPM",
-    "InfeasibleDesignError",
-    "LPM_PER_M3S",
-    "MOTION_MAX_LPM",
-    "OrificeFlow",
-    "PhysConstants",
-    "PiecewiseLinearCurve",
-    "PlacementOutcome",
-    "PrototypeSpec",
-    "Q2_ONSET_LPM",
-    "Q_AB_LPM",
-    "Q_BC_LPM",
-    "SCHEMA",
-    "Scenario",
-    "Segment",
-    "SimTrace",
-    "SimulationError",
-    "StepRecord",
-    "SweepRow",
-    "SystemConfig",
-    "TABLE1",
-    "Table1Report",
-    "Table1Row",
-    "VenturiConfig",
-    "activation_threshold",
-    "apply_override",
-    "bending_radius",
-    "bisect_onset",
-    "blocking_curve",
-    "blocking_force",
-    "calibrate_blocking_s3",
-    "calibrate_f_rot",
-    "calibrate_s3",
-    "can_grasp",
-    "chamber_pressure",
-    "check_blocking",
-    "classify_state",
-    "default_system",
-    "design_search",
-    "effective_orifice_area",
-    "friction_state",
-    "injection_active",
-    "injection_displacement",
-    "inlet_pressure",
-    "kpa_to_pa",
-    "lever_force",
-    "listed_inversion_s3",
-    "load_scenario",
-    "load_system",
-    "lpm_to_m3s",
-    "lubricant_column",
-    "lubricant_rise",
-    "m2_to_mm2",
-    "m3s_to_lpm",
-    "m_to_mm",
-    "mean_displacement",
-    "measured_alpha",
-    "mm2_to_m2",
-    "mm_to_m",
-    "orifice_flow",
-    "orifice_pressure_drop",
-    "pa_to_kpa",
-    "payload",
-    "pivot_feasible",
-    "placement_disturbance",
-    "placement_slip",
-    "posture",
-    "prototype",
-    "prototype_fcs_config",
-    "q2_activation_threshold",
-    "read_json",
-    "reference_gamma",
-    "run_scenario",
-    "size_orifice",
-    "split_flow",
-    "state_thresholds",
-    "steady_outputs",
-    "sweep",
-    "sweep_csv",
-    "system_to_dict",
-    "tip_force",
-    "tube_tip_force",
-    "validate_table1",
-]
+__all__ = ["GraspScene", "Scenario", "Segment", "lpm_to_m3s", "run_scenario"]

@@ -24,8 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import PhysConstants, PiecewiseLinearCurve, m3s_to_lpm
 
 # Default calibration anchor: 50 L/min of source flow holds the chamber
@@ -84,11 +82,11 @@ class FingerConfig:
 class FingerPose:
     """Mark positions [m] in the finger frame for one chamber pressure.
 
-    marks is an (n_marks, 2) array; r is the bending radius, infinite
-    for the straight finger.
+    marks holds one (x, y) pair per mark, base first; r is the bending
+    radius, infinite for the straight finger.
     """
 
-    marks: np.ndarray
+    marks: tuple[tuple[float, float], ...]
     p_f: float
     r: float
 
@@ -127,23 +125,23 @@ def posture(p_f: float, cfg: FingerConfig) -> FingerPose:
     """Mark positions along the bent finger at chamber pressure p_f [Pa].
 
     The arc starts at the origin tangent to +x and bends toward +y; mark
-    i sits at arc length i * L / (n_marks - 1).  Straight-finger limit:
-    marks on the +x axis.
+    i sits at arc length i * L / (n_marks - 1), the last exactly at L.
+    Straight-finger limit: marks on the +x axis.
     """
     _check_pressure(p_f, cfg)
     kappa = cfg.curvature_gain * p_f
-    s = np.linspace(0.0, cfg.finger_length, cfg.n_marks)
+    step = cfg.finger_length / (cfg.n_marks - 1)
+    s = [i * step for i in range(cfg.n_marks - 1)] + [cfg.finger_length]
     if kappa == 0.0:
-        marks = np.column_stack([s, np.zeros_like(s)])
-        return FingerPose(marks=marks, p_f=p_f, r=math.inf)
-    marks = np.column_stack([np.sin(kappa * s) / kappa, (1.0 - np.cos(kappa * s)) / kappa])
+        return FingerPose(marks=tuple((x, 0.0) for x in s), p_f=p_f, r=math.inf)
+    marks = tuple((math.sin(kappa * x) / kappa, (1.0 - math.cos(kappa * x)) / kappa) for x in s)
     return FingerPose(marks=marks, p_f=p_f, r=1.0 / kappa)
 
 
 def mean_displacement(before: FingerPose, after: FingerPose) -> float:
     """Mean Euclidean mark displacement between two postures [m]."""
-    if before.marks.shape != after.marks.shape:
-        raise ValueError(
-            f"mark count mismatch: {before.marks.shape[0]} vs {after.marks.shape[0]}"
-        )
-    return float(np.linalg.norm(after.marks - before.marks, axis=1).mean())
+    if len(before.marks) != len(after.marks):
+        raise ValueError(f"mark count mismatch: {len(before.marks)} vs {len(after.marks)}")
+    moves = [math.hypot(xa - xb, ya - yb)
+             for (xb, yb), (xa, ya) in zip(before.marks, after.marks)]
+    return sum(moves) / len(moves)

@@ -6,7 +6,8 @@ is quasi-static: every output is a pure function of the segment's
 command plus two pieces of carried state, the latched finger pressure
 and the fingertip friction regime.  Both evolve per segment, so the
 timestep controls trace density only; values at shared timestamps are
-identical across timesteps, and no event can fall between samples.
+identical across timesteps, and no event can fall between samples: a
+segment that covers no sample is rejected.
 
 The finger pressure latches because pinch-off seals the finger line:
 whatever air is in the chamber stays there while the switch is in the
@@ -81,6 +82,9 @@ STATE_CEILING = lpm_to_m3s(150.0)    # supply ceiling for the state flips
 # closed-form thresholds land on target to rounding; a 1 L/min gate alone
 # would pass a 0.5 L/min target at twice its value
 DESIGN_REL_TOLERANCE = 1e-6
+# twice the 1M-row scenario the performance targets are set for; keeps a
+# runaway duration/timestep from exhausting memory
+MAX_ROWS = 2_000_000
 
 
 class SimulationError(RuntimeError):
@@ -115,6 +119,10 @@ class Scenario:
             raise ValueError("scenario needs at least one segment")
         if not (math.isfinite(self.timestep) and self.timestep > 0):
             raise ValueError(f"timestep must be > 0, got {self.timestep}")
+        duration = self.duration()
+        if duration / self.timestep > MAX_ROWS:
+            raise ValueError(f"{duration:g} s at timestep {self.timestep:g} s is "
+                             f"{duration / self.timestep:.4g} rows, over the cap of {MAX_ROWS}")
 
     def duration(self) -> float:
         return sum(seg.duration for seg in self.segments)
@@ -227,8 +235,7 @@ class SimTrace:
     grasp_ok: bool | None = None
     lift_ok: bool | None = None
     place_outcome: PlacementOutcome | None = None
-    delta_d_proxy: float | None = None
-    delta_theta_proxy: float | None = None
+    disturbance_proxy: float | None = None
     pivot_ok: bool | None = None
 
     def state_sequence(self) -> list[FcsState]:
@@ -274,7 +281,8 @@ def run_scenario(
     friction regime carry across segments.  Task events fire at segment
     start; grasp, lift, and place need a scene.  A place event releases
     the object, which wipes the lubricant, so friction resets for the
-    following segments.
+    following segments.  A segment that covers no timestep sample is a
+    ConfigError.
     """
     system = system or default_system()
     consts = system.consts
@@ -320,6 +328,10 @@ def run_scenario(
             ))
             first = False
             k += 1
+        if first:
+            raise ConfigError(
+                f"segment {i} (t={start:g} s, {seg.duration:g} s long) covers no "
+                f"sample at timestep {dt:g} s")
         start = end
 
     return SimTrace(name=scenario.name, records=tuple(records), **results)
@@ -338,8 +350,7 @@ def _run_event(event, index, scene, f_tip, tracker, system, consts, results) -> 
     elif event == "place":
         outcome = placement_slip(scene, f_tip, hand, tracker.state, consts)
         results["place_outcome"] = outcome
-        results["delta_d_proxy"] = placement_disturbance(outcome)
-        results["delta_theta_proxy"] = placement_disturbance(outcome)
+        results["disturbance_proxy"] = placement_disturbance(outcome)
         tracker.release()      # object gone, lubricant wiped with it
     elif event == "pivot":
         results["pivot_ok"] = pivot_feasible(hand.mu(tracker.state), hand)
@@ -424,9 +435,9 @@ def sweep(
             trace = run_scenario(scenario, sys_i, scene)
             row = replace(
                 row,
-                final_state=trace.records[-1].state if trace.records else None,
+                final_state=trace.records[-1].state,
                 injected=any(r.injection for r in trace.records),
-                max_p_f_kpa=pa_to_kpa(max((r.p_f for r in trace.records), default=0.0)),
+                max_p_f_kpa=pa_to_kpa(max(r.p_f for r in trace.records)),
             )
         rows.append(row)
     return rows
@@ -493,9 +504,13 @@ def design_search(
     solves the four free parameters in closed form, then reads the
     thresholds back from the tuned config and gates them on the absolute
     and the relative tolerance.  Raises InfeasibleDesignError naming the
-    binding constraint when no setting can work.
+    binding constraint when no setting can work, and ConfigError for a
+    base config with the full inlet model.
     """
     base = system or default_system()
+    if not base.venturi.use_simplified_inlet:
+        raise ConfigError("venturi.use_simplified_inlet: design-search sizes the orifice "
+                          "under the simplified inlet only; set it to true")
     consts = base.consts
     fcs = base.fcs
     q_ab, q_bc, q2_act = (targets.q_ab_lpm, targets.q_bc_lpm,

@@ -115,11 +115,6 @@ def can_grasp(
     return scene.object_mass * consts.g <= payload(f_tip, cfg, mu)
 
 
-def friction_state(injected_flags) -> FrictionState:
-    """Surface regime given per-finger injection flags; any injection is LOW."""
-    return FrictionState.LOW if any(injected_flags) else FrictionState.HIGH
-
-
 def placement_slip(
     scene: GraspScene,
     f_tip: float,

@@ -85,18 +85,6 @@ class VenturiConfig:
                 raise ValueError(f"full inlet model needs {', '.join(missing)}")
 
 
-@dataclass(frozen=True)
-class OrificeFlow:
-    """Flow state across the orifice at one operating point.  SI units."""
-
-    q2: float
-    v_in: float
-    v_out: float
-    p_in: float    # gauge
-    p_out: float   # gauge
-    delta_p: float
-
-
 def orifice_pressure_drop(q2: float, s_in: float, s_out: float, rho_air: float) -> float:
     """Bernoulli pressure drop across the constriction [Pa].
 
@@ -164,25 +152,11 @@ def effective_orifice_area(cfg: VenturiConfig) -> float:
     return cfg.discharge_coeff * cfg.s_out
 
 
-def orifice_flow(q2: float, q_src: float, cfg: VenturiConfig, consts: PhysConstants) -> OrificeFlow:
-    """Full flow state across the orifice for one operating point."""
-    s_out = effective_orifice_area(cfg)
-    delta_p = orifice_pressure_drop(q2, cfg.s_in, s_out, consts.rho_air)
-    p_in = inlet_pressure(q_src, q2, cfg, consts)
-    return OrificeFlow(
-        q2=q2,
-        v_in=q2 / cfg.s_in,
-        v_out=q2 / s_out,
-        p_in=p_in,
-        p_out=p_in - delta_p,
-        delta_p=delta_p,
-    )
-
-
 def lubricant_column(q_src: float, q2: float, cfg: VenturiConfig, consts: PhysConstants) -> float:
     """Column height for an injection-line flow q2 at source flow q_src [m]."""
-    flow = orifice_flow(q2, q_src, cfg, consts)
-    return lubricant_rise(flow.p_in, flow.delta_p, consts.rho_lubricant, consts.g)
+    delta_p = orifice_pressure_drop(q2, cfg.s_in, effective_orifice_area(cfg), consts.rho_air)
+    p_in = inlet_pressure(q_src, q2, cfg, consts)
+    return lubricant_rise(p_in, delta_p, consts.rho_lubricant, consts.g)
 
 
 def q2_activation_threshold(

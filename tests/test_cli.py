@@ -125,6 +125,31 @@ def test_non_monotone_blocking_curve_exits_1(tmp_path, capsys):
     assert main(["validate", "--config", str(cfg)]) == 1
 
 
+def test_design_search_full_inlet_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "full_inlet.json"
+    cfg.write_text(json.dumps({"venturi": {
+        "use_simplified_inlet": False, "p_src_kpa_abs": 101.4,
+        "s_src_mm2": 20, "s_e_mm2": 30}}))
+    assert main(["design-search", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "venturi.use_simplified_inlet" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("segments, message", [
+    ([(0.015, 20.0), (0.003, 150.0), (0.01, 20.0)], "segment 1 (t=0.015 s"),
+    ([(1e9, 20.0)], "cap of 2000000"),
+])
+def test_simulate_unsampled_or_runaway_scenario_exits_1(segments, message, tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"timestep_s": 0.01, "segments": [
+        {"duration_s": d, "q_src_lpm": q} for d, q in segments]}))
+    assert main(["simulate", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_design_search_infeasible(capsys):
     assert main(["design-search", "--q-ab", "120", "--q-bc", "100"]) == 1
     assert "q_ab < q_bc" in capsys.readouterr().err

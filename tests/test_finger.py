@@ -77,10 +77,11 @@ def test_linear_maps_homogeneous():
 
 def test_straight_posture_spacing():
     pose = posture(0.0, CFG)
-    assert pose.marks.shape == (8, 2)
+    marks = np.asarray(pose.marks)
+    assert marks.shape == (8, 2)
     assert pose.r == math.inf
-    assert np.allclose(pose.marks[:, 1], 0.0)
-    gaps = np.diff(pose.marks[:, 0])
+    assert np.allclose(marks[:, 1], 0.0)
+    gaps = np.diff(marks[:, 0])
     assert np.allclose(gaps, CFG.finger_length / 7.0)
 
 
@@ -97,7 +98,7 @@ def test_marks_lie_on_circle():
     for p_kpa in (5.0, 12.5, 32.3, 35.0):
         pose = posture(kpa_to_pa(p_kpa), CFG)
         center = np.array([0.0, pose.r])
-        radii = np.linalg.norm(pose.marks - center, axis=1)
+        radii = np.linalg.norm(np.asarray(pose.marks) - center, axis=1)
         assert np.all(np.abs(radii - pose.r) < 1e-9)
 
 
@@ -105,7 +106,8 @@ def test_marks_arc_spacing_uniform():
     pose = posture(kpa_to_pa(20.0), CFG)
     kappa = 1.0 / pose.r
     # angle subtended between consecutive marks is kappa * L / 7
-    angles = np.arctan2(pose.marks[:, 0], pose.r - pose.marks[:, 1])
+    marks = np.asarray(pose.marks)
+    angles = np.arctan2(marks[:, 0], pose.r - marks[:, 1])
     gaps = np.diff(np.unwrap(angles))
     assert np.allclose(gaps, kappa * CFG.finger_length / 7.0, atol=1e-12)
 
@@ -129,7 +131,7 @@ def test_mean_displacement_identical_poses():
 def test_mean_displacement_translation():
     from dataclasses import replace
     pose = posture(kpa_to_pa(20.0), CFG)
-    moved = replace(pose, marks=pose.marks + np.array([1e-3, 0.0]))
+    moved = replace(pose, marks=tuple((x + 1e-3, y) for x, y in pose.marks))
     assert mean_displacement(pose, moved) == pytest.approx(1e-3, rel=1e-12)
 
 
@@ -137,7 +139,7 @@ def test_mean_displacement_arithmetic_mean():
     from dataclasses import replace
     pose = posture(0.0, CFG)
     shifts = np.arange(1.0, 9.0) * 1e-3    # marks 1..8 move 1..8 mm
-    moved = replace(pose, marks=pose.marks + np.column_stack([np.zeros(8), shifts]))
+    moved = replace(pose, marks=tuple((x, y + d) for (x, y), d in zip(pose.marks, shifts)))
     assert mean_displacement(pose, moved) == pytest.approx(4.5e-3, rel=1e-12)
 
 

@@ -12,6 +12,7 @@ from flowhand.fcs import FcsState
 from flowhand.finger import FingerConfig
 from flowhand.scenario import (
     CSV_HEADER,
+    MAX_ROWS,
     DesignReport,
     DesignTargets,
     Scenario,
@@ -234,8 +235,7 @@ def test_lubricated_place_slides_and_friction_resets():
     trace = run_scenario(sc, scene=scene)
     assert trace.grasp_ok is True
     assert trace.place_outcome is PlacementOutcome.SLIDES_IN_GRIP
-    assert trace.delta_d_proxy == 0.0
-    assert trace.delta_theta_proxy == 0.0
+    assert trace.disturbance_proxy == 0.0
     # rows in the place segment still carry the lubricated state; the
     # release lands on the segment after it
     place_rows = [r for r in trace.records if 0.1 <= r.t < 0.15]
@@ -255,8 +255,7 @@ def test_dry_place_holds_and_disturbs():
     assert trace.grasp_ok is True
     assert trace.lift_ok is True
     assert trace.place_outcome is PlacementOutcome.HELD_FIXED
-    assert trace.delta_d_proxy == 1.0
-    assert trace.delta_theta_proxy == 1.0
+    assert trace.disturbance_proxy == 1.0
 
 
 def test_pivot_needs_lubricant():
@@ -284,6 +283,22 @@ def test_event_stamped_on_first_row_only():
     sc = Scenario("e", (seg(0.03, 50.0, event="grasp"), seg(0.03, 50.0)))
     trace = run_scenario(sc, scene=GraspScene(object_width=0.05, object_mass=0.1))
     assert [r.event for r in trace.records] == ["grasp", None, None, None, None, None]
+
+
+def test_segment_without_a_sample_rejected():
+    # 0.015 s to 0.018 s lies between the 0.01 s and 0.02 s samples
+    sc = Scenario("gap", (seg(0.015, 20.0), seg(0.003, 150.0), seg(0.01, 20.0)))
+    with pytest.raises(ConfigError, match=r"segment 1 \(t=0.015 s"):
+        run_scenario(sc)
+
+
+def test_row_cap_checked_before_any_row_exists():
+    # only duration / timestep is computed; no row is built
+    Scenario("half-cap", (seg(0.5 * MAX_ROWS * 0.01, 10.0),), timestep=0.01)
+    with pytest.raises(ValueError, match="cap of 2000000"):
+        Scenario("long", (seg(1e9, 10.0),), timestep=0.01)
+    with pytest.raises(ConfigError, match="cap of 2000000"):
+        load_scenario({"segments": [{"duration_s": 1e9, "q_src_lpm": 10.0}]})
 
 
 def test_runaway_output_aborts():

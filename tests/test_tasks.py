@@ -11,7 +11,6 @@ from flowhand.tasks import (
     HandConfig,
     PlacementOutcome,
     can_grasp,
-    friction_state,
     payload,
     pivot_feasible,
     placement_disturbance,
@@ -69,13 +68,6 @@ def test_can_grasp_weight_gate():
 def test_can_grasp_uses_given_friction():
     scene = GraspScene(object_width=0.05, object_mass=0.1)
     assert not can_grasp(scene, 0.38, CFG, mu=CFG.mu_low)
-
-
-def test_friction_state_any_injection():
-    assert friction_state([]) is FrictionState.HIGH
-    assert friction_state([False, False]) is FrictionState.HIGH
-    assert friction_state([False, True]) is FrictionState.LOW
-    assert friction_state([True, True]) is FrictionState.LOW
 
 
 def test_placement_slip_lubricated_grip():

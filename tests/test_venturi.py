@@ -12,10 +12,10 @@ from flowhand.venturi import (
     VenturiConfig,
     activation_threshold,
     injection_active,
+    effective_orifice_area,
     inlet_pressure,
     lubricant_column,
     lubricant_rise,
-    orifice_flow,
     orifice_pressure_drop,
     q2_activation_threshold,
     size_orifice,
@@ -73,10 +73,13 @@ def test_suction_regardless_of_flow():
     for _ in range(50):
         cfg = make_config()
         q2 = lpm_to_m3s(float(rng.uniform(0.1, 100.0)))
-        flow = orifice_flow(q2, q2, cfg, CONSTS)
-        assert flow.p_out < flow.p_in
-        assert flow.v_out > flow.v_in
-        assert flow.delta_p > 0
+        delta_p = orifice_pressure_drop(q2, cfg.s_in, effective_orifice_area(cfg),
+                                        CONSTS.rho_air)
+        assert delta_p > 0
+        # p_in is 0 gauge, so the column rises by the whole drop
+        h_l = lubricant_column(q2, q2, cfg, CONSTS)
+        assert h_l > 0
+        assert h_l == pytest.approx(delta_p / (CONSTS.rho_lubricant * CONSTS.g), rel=1e-12)
 
 
 def test_inlet_pressure_simplified_is_zero():
@@ -251,6 +254,5 @@ def test_config_validation():
 
 
 def test_effective_area_uses_discharge_coefficient():
-    from flowhand.venturi import effective_orifice_area
     cfg = make_config(discharge_coeff=0.8)
     assert effective_orifice_area(cfg) == pytest.approx(0.8 * cfg.s_out)
