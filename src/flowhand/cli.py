@@ -2,7 +2,7 @@
 
 Subcommands:
 
-  simulate       run a scenario file, emit the per-step CSV
+  simulate       run a scenario file, stream the per-step CSV
   sweep          thresholds vs one config key over a list of values
   design-search  tune the switch and orifice for target thresholds
   table1         prototype-table validation report
@@ -64,7 +64,13 @@ def _cmd_simulate(args) -> int:
     scenario, scene = load_scenario(args.scenario)
     _warn(scenario.warnings())
     trace = run_scenario(scenario, system, scene)
-    _emit(trace.to_csv(), args.out)
+    # the file is opened only once the run has succeeded, so a failed
+    # run leaves no partial CSV behind
+    if args.out:
+        with open(args.out, "w") as fh:
+            trace.to_csv(fh)
+    else:
+        trace.to_csv(sys.stdout)
     for name, value in (("grasp", trace.grasp_ok), ("lift", trace.lift_ok),
                         ("place", trace.place_outcome), ("pivot", trace.pivot_ok)):
         if value is not None:

@@ -128,6 +128,16 @@ def read_json(source: dict | str | Path) -> dict:
     return raw
 
 
+def _converted(to_si, value: Any, path: str) -> float:
+    """A file number folded to SI; a value the converter rejects, such as
+    a negative area or length, is a ConfigError naming the key."""
+    number = _number(value, path)
+    try:
+        return to_si(number)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 def _check_keys(raw: dict, schema: frozenset[str], section: str) -> None:
     if not isinstance(raw, dict):
         raise ConfigError(f"{section}: expected an object")
@@ -147,10 +157,10 @@ def _apply_fcs(base: FcsConfig, raw: dict, consts: PhysConstants) -> FcsConfig:
     if "gamma" in raw:
         updates["gamma"] = _number(raw["gamma"], "fcs.gamma")
     if "s3_mm2" in raw:
-        updates["s3"] = mm2_to_m2(_number(raw["s3_mm2"], "fcs.s3_mm2"))
+        updates["s3"] = _converted(mm2_to_m2, raw["s3_mm2"], "fcs.s3_mm2")
     if "exhaust_port_mm2" in raw:
-        updates["exhaust_port_area"] = mm2_to_m2(
-            _number(raw["exhaust_port_mm2"], "fcs.exhaust_port_mm2"))
+        updates["exhaust_port_area"] = _converted(
+            mm2_to_m2, raw["exhaust_port_mm2"], "fcs.exhaust_port_mm2")
     if "f_block_knots" in raw:
         updates["f_block_curve"] = _curve(raw["f_block_knots"], "fcs.f_block_knots")
     try:
@@ -171,9 +181,9 @@ def _apply_venturi(base: VenturiConfig, raw: dict) -> VenturiConfig:
                        ("s_t_mm2", "s_t"), ("s_src_mm2", "s_src"),
                        ("s_e_mm2", "s_e")):
         if key in raw:
-            updates[field] = mm2_to_m2(_number(raw[key], f"venturi.{key}"))
+            updates[field] = _converted(mm2_to_m2, raw[key], f"venturi.{key}")
     if "h_t_mm" in raw:
-        updates["h_t"] = mm_to_m(_number(raw["h_t_mm"], "venturi.h_t_mm"))
+        updates["h_t"] = _converted(mm_to_m, raw["h_t_mm"], "venturi.h_t_mm")
     if "p_src_kpa_abs" in raw:
         updates["p_src"] = kpa_to_pa(_number(raw["p_src_kpa_abs"], "venturi.p_src_kpa_abs"))
     if "use_simplified_inlet" in raw:
@@ -190,8 +200,8 @@ def _apply_venturi(base: VenturiConfig, raw: dict) -> VenturiConfig:
 def _apply_finger(base: FingerConfig, raw: dict) -> FingerConfig:
     updates: dict[str, Any] = {}
     if "finger_length_mm" in raw:
-        updates["finger_length"] = mm_to_m(_number(raw["finger_length_mm"],
-                                                   "finger.finger_length_mm"))
+        updates["finger_length"] = _converted(mm_to_m, raw["finger_length_mm"],
+                                              "finger.finger_length_mm")
     if "pressure_map_knots" in raw:
         knots = _knots(raw["pressure_map_knots"], "finger.pressure_map_knots")
         updates["pressure_map"] = _curve(
@@ -219,12 +229,20 @@ def _apply_hand(base: HandConfig, raw: dict) -> HandConfig:
         if key in raw:
             updates[key] = _number(raw[key], f"hand.{key}")
     if "max_opening_mm" in raw:
-        updates["max_opening"] = mm_to_m(_number(raw["max_opening_mm"],
-                                                 "hand.max_opening_mm"))
+        updates["max_opening"] = _converted(mm_to_m, raw["max_opening_mm"],
+                                            "hand.max_opening_mm")
     try:
         return replace(base, **updates)
     except ValueError as exc:
         raise ConfigError(f"hand: {exc}") from exc
+
+
+def _with_lubricant(consts: PhysConstants, value: Any) -> PhysConstants:
+    rho = _number(value, "venturi.rho_lub")
+    try:
+        return replace(consts, rho_lubricant=rho)
+    except ValueError as exc:
+        raise ConfigError(f"venturi.rho_lub: {exc}") from exc
 
 
 def load_system(source: dict | str | Path | None = None) -> SystemConfig:
@@ -241,11 +259,7 @@ def load_system(source: dict | str | Path | None = None) -> SystemConfig:
     consts = PhysConstants()
     venturi_raw = raw.get("venturi", {})
     if "rho_lub" in venturi_raw:
-        rho = _number(venturi_raw["rho_lub"], "venturi.rho_lub")
-        try:
-            consts = PhysConstants(rho_lubricant=rho)
-        except ValueError as exc:
-            raise ConfigError(f"venturi.rho_lub: {exc}") from exc
+        consts = _with_lubricant(consts, venturi_raw["rho_lub"])
 
     base = default_system(consts)
     return SystemConfig(
@@ -310,18 +324,23 @@ def system_to_dict(system: SystemConfig) -> dict:
 def apply_override(system: SystemConfig, path: str, value: Any) -> SystemConfig:
     """The system with one config key replaced, addressed as 'section.key'.
 
-    Runs through the normal load path so unit folding, validation, and
-    the q_ab recalibration all apply.  Unknown paths are errors.
+    The key goes through its section's load path, so unit folding,
+    validation, and the q_ab recalibration (from the system's own alpha
+    and s3) apply as they do in a file; every other field is kept.
+    `venturi.rho_lub` replaces the lubricant density in the constants.
+    Unknown paths are errors.
     """
     parts = path.split(".")
     if len(parts) != 2 or parts[0] not in SCHEMA or parts[1] not in SCHEMA[parts[0]]:
         raise ConfigError(f"unknown config path '{path}'")
     section, key = parts
-    raw = system_to_dict(system)
-    # the lever onset is stored one way or the other, never both
-    if key == "q_ab_lpm":
-        raw["fcs"].pop("f_rot_N", None)
-    if key == "f_rot_N":
-        raw["fcs"].pop("q_ab_lpm", None)
-    raw.setdefault(section, {})[key] = value
-    return load_system(raw)
+    if path == "venturi.rho_lub":
+        return replace(system, consts=_with_lubricant(system.consts, value))
+    raw = {key: value}
+    if section == "fcs":
+        return replace(system, fcs=_apply_fcs(system.fcs, raw, system.consts))
+    if section == "venturi":
+        return replace(system, venturi=_apply_venturi(system.venturi, raw))
+    if section == "finger":
+        return replace(system, finger=_apply_finger(system.finger, raw))
+    return replace(system, hand=_apply_hand(system.hand, raw))

@@ -9,6 +9,12 @@ timestep controls trace density only; values at shared timestamps are
 identical across timesteps, and no event can fall between samples: a
 segment that covers no sample is rejected.
 
+So a trace stores one SegmentRun per segment, the segment's outputs
+plus the range of timesteps it covers, and never one object per step.
+SimTrace.to_csv expands the rows while it writes them, formatting each
+run's constant columns once; SimTrace.records builds per-step objects
+on request, for inspection only.
+
 The finger pressure latches because pinch-off seals the finger line:
 whatever air is in the chamber stays there while the switch is in the
 blocked state, and the command maps to a fresh pressure again once the
@@ -24,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .config import ConfigError, _number, apply_override, read_json
 from .core import (
@@ -82,8 +89,10 @@ STATE_CEILING = lpm_to_m3s(150.0)    # supply ceiling for the state flips
 # closed-form thresholds land on target to rounding; a 1 L/min gate alone
 # would pass a 0.5 L/min target at twice its value
 DESIGN_REL_TOLERANCE = 1e-6
-# twice the 1M-row scenario the performance targets are set for; keeps a
-# runaway duration/timestep from exhausting memory
+# twice the 1M-row scenario the performance targets are set for; a trace
+# holds one run per segment however many rows it covers, so the cap
+# bounds the run time and the CSV size of a runaway duration/timestep,
+# not the memory
 MAX_ROWS = 2_000_000
 
 
@@ -210,8 +219,28 @@ def load_scenario(source: dict | str) -> tuple[Scenario, GraspScene | None]:
     return scenario, scene
 
 
+class SegmentRun(NamedTuple):
+    """One segment's outputs, held on the timesteps first .. stop-1."""
+
+    first: int
+    stop: int
+    q_src: float               # m^3/s
+    q1: float
+    q2: float
+    q_exhaust: float
+    state: FcsState
+    p_f: float                 # Pa
+    r: float                   # m, inf when straight
+    f_tip: float               # N
+    injection: bool
+    friction: FrictionState
+    event: str | None
+
+
 @dataclass(frozen=True)
 class StepRecord:
+    """One CSV row as an object; see SimTrace.records."""
+
     t: float
     q_src: float               # m^3/s
     q1: float
@@ -226,47 +255,91 @@ class StepRecord:
     event: str | None = None
 
 
+# a CSV row is format(t, ".6g") plus this tail of its run's columns
+_ROW_TAIL = ",{:.6g},{:.6g},{:.6g},{:.6g},{},{:.6g},{:.6g},{:.6g},{},{}\n".format
+# rows gathered before a streamed to_csv writes them out
+_WRITE_ROWS = 4096
+
+
 @dataclass(frozen=True)
 class SimTrace:
-    """Per-step records plus the outcomes of any task events."""
+    """One run per segment plus the outcomes of any task events.
+
+    Step k of the trace is at time k * timestep; a run covers the steps
+    first .. stop-1, and the runs cover every step in order.
+    """
 
     name: str
-    records: tuple[StepRecord, ...]
+    timestep: float
+    runs: tuple[SegmentRun, ...]
     grasp_ok: bool | None = None
     lift_ok: bool | None = None
     place_outcome: PlacementOutcome | None = None
     disturbance_proxy: float | None = None
     pivot_ok: bool | None = None
 
+    @property
+    def records(self) -> tuple[StepRecord, ...]:
+        """One record per step, built on each access; the event sits on
+        the first step of its segment."""
+        dt = self.timestep
+        # a run's fields q_src .. friction are StepRecord's fields after t
+        return tuple(
+            StepRecord(k * dt, *run[2:12], event=run.event if k == run.first else None)
+            for run in self.runs for k in range(run.first, run.stop))
+
     def state_sequence(self) -> list[FcsState]:
         """Visited states with consecutive repeats collapsed."""
         out: list[FcsState] = []
-        for rec in self.records:
-            if not out or out[-1] is not rec.state:
-                out.append(rec.state)
+        for run in self.runs:
+            if not out or out[-1] is not run.state:
+                out.append(run.state)
         return out
 
-    def to_csv(self) -> str:
-        lines = [CSV_HEADER]
-        for rec in self.records:
-            lines.append(",".join((
-                _fmt(rec.t),
-                _fmt(m3s_to_lpm(rec.q_src)),
-                _fmt(m3s_to_lpm(rec.q1)),
-                _fmt(m3s_to_lpm(rec.q2)),
-                _fmt(m3s_to_lpm(rec.q_exhaust)),
-                rec.state.name,
-                _fmt(pa_to_kpa(rec.p_f)),
-                _fmt(m_to_mm(rec.r)),
-                _fmt(rec.f_tip),
-                "1" if rec.injection else "0",
-                rec.friction.value,
-            )))
-        return "\n".join(lines) + "\n"
+    def to_csv(self, out=None) -> str | None:
+        """The trace as CSV, one row per step.
+
+        Each run's constant columns are formatted once; a row is the
+        formatted time plus that tail.  Given a text file, the rows are
+        written to it as they are made and None is returned; otherwise
+        the text is.
+        """
+        dt = self.timestep
+        rows = [CSV_HEADER + "\n"]
+        for run in self.runs:
+            tail = _ROW_TAIL(
+                m3s_to_lpm(run.q_src), m3s_to_lpm(run.q1), m3s_to_lpm(run.q2),
+                m3s_to_lpm(run.q_exhaust), run.state.name, pa_to_kpa(run.p_f),
+                m_to_mm(run.r), run.f_tip, "1" if run.injection else "0",
+                run.friction.value)
+            rows += [format(k * dt, ".6g") + tail for k in range(run.first, run.stop)]
+            if out is not None and len(rows) >= _WRITE_ROWS:
+                out.write("".join(rows))
+                rows.clear()
+        if out is None:
+            return "".join(rows)
+        out.write("".join(rows))
+        return None
 
 
 def _fmt(x: float) -> str:
     return format(x, ".6g")
+
+
+def _step_stop(first: int, end: float, dt: float) -> int:
+    """The step after the last one of a segment that ends at `end`.
+
+    The smallest k >= first with k * dt >= end - _EPS, which is where
+    stepping `while k * dt < end - _EPS: k += 1` from `first` stops; the
+    ceiling lands within one step of it and the float products settle it.
+    """
+    edge = end - _EPS
+    k = math.ceil(edge / dt)
+    while k * dt < edge:
+        k += 1
+    while k > first and (k - 1) * dt >= edge:
+        k -= 1
+    return max(k, first)
 
 
 def run_scenario(
@@ -276,11 +349,13 @@ def run_scenario(
 ) -> SimTrace:
     """Execute a scenario; reruns are bit-identical.
 
-    Each segment is evaluated once (quasi-statics) and its values are
-    stamped onto every timestep it covers; the latched pressure and the
-    friction regime carry across segments.  Task events fire at segment
-    start; grasp, lift, and place need a scene.  A place event releases
-    the object, which wipes the lubricant, so friction resets for the
+    Each segment is evaluated once (quasi-statics) and becomes one
+    SegmentRun: its outputs plus the range of timesteps it covers, in
+    closed form.  Nothing is built per step; rows exist only while
+    SimTrace.to_csv writes them.  The latched pressure and the friction
+    regime carry across segments.  Task events fire at segment start;
+    grasp, lift, and place need a scene.  A place event releases the
+    object, which wipes the lubricant, so friction resets for the
     following segments.  A segment that covers no timestep sample is a
     ConfigError.
     """
@@ -288,7 +363,7 @@ def run_scenario(
     consts = system.consts
     tracker = FrictionTracker()
     p_latch = 0.0
-    records: list[StepRecord] = []
+    runs: list[SegmentRun] = []
     results: dict = {}
 
     dt = scenario.timestep
@@ -318,23 +393,17 @@ def run_scenario(
         if seg.event is not None:
             _run_event(seg.event, i, scene, f_tip, tracker, system, consts, results)
 
-        first = True
-        while k * dt < end - _EPS:
-            records.append(StepRecord(
-                t=k * dt, q_src=seg.q_src, q1=out.q1, q2=out.q2,
-                q_exhaust=out.q_exhaust, state=out.state, p_f=p_f, r=r,
-                f_tip=f_tip, injection=injecting, friction=friction,
-                event=seg.event if first else None,
-            ))
-            first = False
-            k += 1
-        if first:
+        stop = _step_stop(k, end, dt)
+        if stop == k:
             raise ConfigError(
                 f"segment {i} (t={start:g} s, {seg.duration:g} s long) covers no "
                 f"sample at timestep {dt:g} s")
+        runs.append(SegmentRun(k, stop, seg.q_src, out.q1, out.q2, out.q_exhaust,
+                               out.state, p_f, r, f_tip, injecting, friction, seg.event))
+        k = stop
         start = end
 
-    return SimTrace(name=scenario.name, records=tuple(records), **results)
+    return SimTrace(name=scenario.name, timestep=dt, runs=tuple(runs), **results)
 
 
 def _run_event(event, index, scene, f_tip, tracker, system, consts, results) -> None:
@@ -360,11 +429,14 @@ def injection_displacement(trace: SimTrace, cfg: FingerConfig) -> float | None:
     """Mean mark displacement [m] between the posture just before the
     first injection and the final injecting posture; None if the trace
     never injects."""
-    first = next((i for i, r in enumerate(trace.records) if r.injection), None)
+    runs = trace.runs
+    first = next((i for i, run in enumerate(runs) if run.injection), None)
     if first is None:
         return None
-    p_before = trace.records[first - 1].p_f if first > 0 else 0.0
-    p_after = next(r.p_f for r in reversed(trace.records) if r.injection)
+    # every run covers a step, so the step before the first injecting
+    # one belongs to the run before it
+    p_before = runs[first - 1].p_f if first > 0 else 0.0
+    p_after = next(run.p_f for run in reversed(runs) if run.injection)
     return mean_displacement(posture(p_before, cfg), posture(p_after, cfg))
 
 
@@ -432,12 +504,12 @@ def sweep(
             activation_lpm=None if act is None else m3s_to_lpm(act),
         )
         if scenario is not None:
-            trace = run_scenario(scenario, sys_i, scene)
+            runs = run_scenario(scenario, sys_i, scene).runs
             row = replace(
                 row,
-                final_state=trace.records[-1].state,
-                injected=any(r.injection for r in trace.records),
-                max_p_f_kpa=pa_to_kpa(max(r.p_f for r in trace.records)),
+                final_state=runs[-1].state,
+                injected=any(run.injection for run in runs),
+                max_p_f_kpa=pa_to_kpa(max(run.p_f for run in runs)),
             )
         rows.append(row)
     return rows

@@ -150,6 +150,32 @@ def test_simulate_unsampled_or_runaway_scenario_exits_1(segments, message, tmp_p
     assert message in captured.err
 
 
+@pytest.mark.parametrize("path", [
+    "fcs.s3_mm2", "fcs.exhaust_port_mm2", "venturi.s_in_mm2", "venturi.s_out_mm2",
+    "venturi.s_t_mm2", "venturi.s_src_mm2", "venturi.s_e_mm2", "venturi.h_t_mm",
+    "finger.finger_length_mm", "hand.max_opening_mm",
+])
+def test_negative_area_or_length_exits_1(path, tmp_path, capsys):
+    section, key = path.split(".")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({section: {key: -1.0}}))
+    assert main(["validate", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert f"config error: {path}: " in err and "must be >= 0" in err
+    assert main(["sweep", "--param", path, "--values", "-1"]) == 1
+    assert f"config error: {path}: " in capsys.readouterr().err
+
+
+def test_failed_simulate_leaves_no_file(tmp_path, capsys):
+    path = tmp_path / "no_scene.json"
+    path.write_text(json.dumps({"segments": [
+        {"duration_s": 0.05, "q_src_lpm": 50.0, "event": "grasp"}]}))
+    out = tmp_path / "trace.csv"
+    assert main(["simulate", str(path), "--out", str(out)]) == 1
+    assert "needs a scene" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_design_search_infeasible(capsys):
     assert main(["design-search", "--q-ab", "120", "--q-bc", "100"]) == 1
     assert "q_ab < q_bc" in capsys.readouterr().err

@@ -1,11 +1,13 @@
 """JSON config ingestion: unit folding, validation paths, round-trips."""
 
+import dataclasses
 import json
 import math
 
 import pytest
 
 from flowhand.config import (
+    SCHEMA,
     ConfigError,
     apply_override,
     load_system,
@@ -219,3 +221,88 @@ def test_curvature_gain_round_trip_value():
     raw = system_to_dict(default_system())
     assert raw["finger"]["curvature_gain"] == pytest.approx(
         math.pi / (0.08 * 32.3), rel=1e-12)
+
+
+# Per key: values that load and values that fail, each failure through a
+# different check (range, sign of an area or length, type, shape).
+OVERRIDE_VALUES = {
+    "fcs.alpha": (0.97, 0.5, 1.5, -0.1, "x"),
+    "fcs.epsilon": (3.0, 0.0, True),
+    "fcs.s3_mm2": (12.5, 0.0, -1.0),
+    "fcs.exhaust_port_mm2": (5.0, 0.0, -1.0),
+    "fcs.gamma": (0.5, 1.5, None),
+    "fcs.f_rot_N": (0.002, 0.0, -0.1),
+    "fcs.q_ab_lpm": (12.0, 0.0, -3.0),
+    "fcs.f_block_knots": ([[1.5, 0.9], [9.0, 1.3]], [], [[2.0, 1.0], [1.0, 2.0]], [[1.0]]),
+    "venturi.s_in_mm2": (25.0, 10.0, -1.0),
+    "venturi.s_out_mm2": (15.0, 30.0, -1.0),
+    "venturi.s_t_mm2": (2.0, 0.0, -1.0),
+    "venturi.h_t_mm": (40.0, 0.0, -1.0),
+    "venturi.rho_lub": (1000.0, 0.0, -5.0, "a"),
+    "venturi.p_src_kpa_abs": (120.0, True, float("nan")),
+    "venturi.s_src_mm2": (20.0, -1.0),
+    "venturi.s_e_mm2": (20.0, -1.0),
+    "venturi.use_simplified_inlet": (True, False, 1),
+    "venturi.discharge_coeff": (0.9, 1.5, 0.0),
+    "finger.finger_length_mm": (90.0, 0.0, -1.0),
+    "finger.pressure_map_knots": ([[0, 0], [50, 30]], [[0, 1], [50, 30]], [[0, 0], [50, -1]]),
+    "finger.curvature_gain": (1.0, 0.0),
+    "finger.tipforce_gain_n_per_kpa": (0.02, -1.0),
+    "finger.p_max_kpa": (30.0, 0.0),
+    "hand.n_fingers": (3, 1, 2.5),
+    "hand.mu_high": (2.5, 0.1),
+    "hand.mu_low": (0.3, 3.0),
+    "hand.mu_pivot_crit": (0.9, 0.0),
+    "hand.max_opening_mm": (60.0, 0.0, -1.0),
+}
+OVERRIDE_BASES = {
+    "reference": None,
+    "full-feed": {"fcs": {"exhaust_port_mm2": 7.1},
+                  "venturi": {"p_src_kpa_abs": 101.4, "s_src_mm2": 20, "s_e_mm2": 30,
+                              "rho_lub": 1000.0}},
+}
+
+
+def round_trip_override(system, path, value):
+    """apply_override as it used to be: the whole system through its config dict."""
+    section, key = path.split(".")
+    raw = system_to_dict(system)
+    if key == "q_ab_lpm":
+        raw["fcs"].pop("f_rot_N")
+    raw[section][key] = value
+    return load_system(raw)
+
+
+def assert_close(a, b, where="system"):
+    if dataclasses.is_dataclass(a):
+        assert type(a) is type(b), where
+        for f in dataclasses.fields(a):
+            if f.compare:
+                assert_close(getattr(a, f.name), getattr(b, f.name), f"{where}.{f.name}")
+    elif isinstance(a, tuple):
+        assert len(a) == len(b), where
+        for i, (x, y) in enumerate(zip(a, b)):
+            assert_close(x, y, f"{where}[{i}]")
+    elif isinstance(a, float):
+        assert math.isclose(a, b, rel_tol=1e-12, abs_tol=0.0), f"{where}: {a} != {b}"
+    else:
+        assert a == b, f"{where}: {a!r} != {b!r}"
+
+
+def test_override_table_covers_schema():
+    assert set(OVERRIDE_VALUES) == {f"{s}.{k}" for s, keys in SCHEMA.items() for k in keys}
+
+
+@pytest.mark.parametrize("base", sorted(OVERRIDE_BASES))
+@pytest.mark.parametrize("path, value", [
+    (path, value) for path, values in OVERRIDE_VALUES.items() for value in values])
+def test_apply_override_matches_config_round_trip(base, path, value):
+    system = load_system(OVERRIDE_BASES[base])
+    try:
+        want = round_trip_override(system, path, value)
+    except ConfigError as exc:
+        with pytest.raises(ConfigError) as got:
+            apply_override(system, path, value)
+        assert str(got.value) == str(exc)
+        return
+    assert_close(apply_override(system, path, value), want)
