@@ -105,7 +105,8 @@ class PiecewiseLinearCurve:
     _ys: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        knots = tuple((float(x), float(y)) for x, y in self.knots)
+        # + 0.0 turns -0.0 into 0.0: values print as 0, never -0
+        knots = tuple((float(x) + 0.0, float(y) + 0.0) for x, y in self.knots)
         if not knots:
             raise ValueError("curve needs at least one knot")
         xs = tuple(x for x, _ in knots)

@@ -12,8 +12,13 @@ segment that covers no sample is rejected.
 So a trace stores one SegmentRun per segment, the segment's outputs
 plus the range of timesteps it covers, and never one object per step.
 SimTrace.to_csv expands the rows while it writes them, formatting each
-run's constant columns once; SimTrace.records builds per-step objects
-on request, for inspection only.
+distinct set of constant columns once; SimTrace.records builds per-step
+objects on request, for inspection only.
+
+And since the hand has one input, a scenario of thousands of segments
+reuses a few operating points: run_scenario evaluates each distinct
+command once per run, in a table local to the call, and only the
+latch, the friction regime and the events run per segment.
 
 The finger pressure latches because pinch-off seals the finger line:
 whatever air is in the chamber stays there while the switch is in the
@@ -113,6 +118,10 @@ class Segment:
             raise ValueError(f"segment duration must be > 0, got {self.duration}")
         if not (math.isfinite(self.q_src) and self.q_src >= 0):
             raise ValueError(f"segment q_src must be >= 0, got {self.q_src}")
+        if self.q_src == 0.0:
+            # -0.0 would print as -0, and run_scenario keys commands by
+            # value, where -0.0 and 0.0 are the same key
+            object.__setattr__(self, "q_src", 0.0)
         if self.event is not None and self.event not in EVENTS:
             raise ValueError(f"unknown event {self.event!r}; know {EVENTS}")
 
@@ -299,19 +308,26 @@ class SimTrace:
     def to_csv(self, out=None) -> str | None:
         """The trace as CSV, one row per step.
 
-        Each run's constant columns are formatted once; a row is the
-        formatted time plus that tail.  Given a text file, the rows are
-        written to it as they are made and None is returned; otherwise
-        the text is.
+        A row is the formatted time plus a tail of the run's constant
+        columns, and each distinct tail is formatted once per call.
+        Equal fields give equal text except 0.0 and -0.0, and
+        run_scenario stores no -0.0: Segment and the calibration curves
+        drop the sign of zero.  Given a text file, the rows are written
+        to it as they are made and None is returned; otherwise the text
+        is.
         """
         dt = self.timestep
         rows = [CSV_HEADER + "\n"]
+        tails: dict = {}       # run[2:12], the fields of a tail -> the tail
         for run in self.runs:
-            tail = _ROW_TAIL(
-                m3s_to_lpm(run.q_src), m3s_to_lpm(run.q1), m3s_to_lpm(run.q2),
-                m3s_to_lpm(run.q_exhaust), run.state.name, pa_to_kpa(run.p_f),
-                m_to_mm(run.r), run.f_tip, "1" if run.injection else "0",
-                run.friction.value)
+            key = run[2:12]
+            tail = tails.get(key)
+            if tail is None:
+                tail = tails[key] = _ROW_TAIL(
+                    m3s_to_lpm(run.q_src), m3s_to_lpm(run.q1), m3s_to_lpm(run.q2),
+                    m3s_to_lpm(run.q_exhaust), run.state.name, pa_to_kpa(run.p_f),
+                    m_to_mm(run.r), run.f_tip, "1" if run.injection else "0",
+                    run.friction.value)
             rows += [format(k * dt, ".6g") + tail for k in range(run.first, run.stop)]
             if out is not None and len(rows) >= _WRITE_ROWS:
                 out.write("".join(rows))
@@ -349,20 +365,26 @@ def run_scenario(
 ) -> SimTrace:
     """Execute a scenario; reruns are bit-identical.
 
-    Each segment is evaluated once (quasi-statics) and becomes one
-    SegmentRun: its outputs plus the range of timesteps it covers, in
-    closed form.  Nothing is built per step; rows exist only while
-    SimTrace.to_csv writes them.  The latched pressure and the friction
-    regime carry across segments.  Task events fire at segment start;
-    grasp, lift, and place need a scene.  A place event releases the
-    object, which wipes the lubricant, so friction resets for the
-    following segments.  A segment that covers no timestep sample is a
-    ConfigError.
+    Each segment becomes one SegmentRun: its outputs plus the range of
+    timesteps it covers, in closed form.  Nothing is built per step;
+    rows exist only while SimTrace.to_csv writes them.  The outputs are
+    a pure function of the command and the latched pressure, so each
+    distinct command is evaluated once, at its first segment, which is
+    also where a non-finite output raises SimulationError.  The latched
+    pressure and the friction regime carry across segments.  Task
+    events fire at segment start; grasp, lift, and place need a scene.
+    A place event releases the object, which wipes the lubricant, so
+    friction resets for the following segments.  A segment that covers
+    no timestep sample is a ConfigError.
     """
     system = system or default_system()
     consts = system.consts
     tracker = FrictionTracker()
-    p_latch = 0.0
+    # q_src -> (outputs, injecting, finger outputs or None); in state C
+    # the latch holds the finger outputs (p_f, f_tip, r) of the last
+    # command that reached the chamber
+    points: dict = {}
+    held = None
     runs: list[SegmentRun] = []
     results: dict = {}
 
@@ -371,24 +393,16 @@ def run_scenario(
     start = 0.0
     for i, seg in enumerate(scenario.segments):
         end = start + seg.duration
-        out = steady_outputs(seg.q_src, system.fcs, consts)
-        if out.state is not FcsState.C:
-            p_latch = chamber_pressure(seg.q_src, system.finger)
-        p_f = p_latch
-        h_l = lubricant_column(seg.q_src, out.q2, system.venturi, consts)
-        injecting = injection_active(h_l, system.venturi.h_t)
+        point = points.get(seg.q_src)
+        if point is None:
+            point = points[seg.q_src] = _operating_point(seg.q_src, i, start, system)
+        out, injecting, finger = point
+        if finger is not None:
+            held = finger
+        elif held is None:     # sealed before any air reached the chamber
+            held = _finger_outputs(0.0, system.finger, i, start)
+        p_f, f_tip, r = held
         friction = tracker.record(injecting)
-        f_tip = tip_force(p_f, system.finger)
-        r = bending_radius(p_f, system.finger)
-
-        for name, value in (("q1", out.q1), ("q2", out.q2),
-                            ("q_exhaust", out.q_exhaust), ("p_f", p_f),
-                            ("f_tip", f_tip)):
-            if not math.isfinite(value):
-                raise SimulationError(
-                    f"{name} is {value} in segment {i} (t={start:g} s)")
-        if math.isnan(r):
-            raise SimulationError(f"r is nan in segment {i} (t={start:g} s)")
 
         if seg.event is not None:
             _run_event(seg.event, i, scene, f_tip, tracker, system, consts, results)
@@ -404,6 +418,39 @@ def run_scenario(
         start = end
 
     return SimTrace(name=scenario.name, timestep=dt, runs=tuple(runs), **results)
+
+
+def _check_finite(index: int, start: float, *values: tuple[str, float]) -> None:
+    for name, value in values:
+        if not math.isfinite(value):
+            raise SimulationError(f"{name} is {value} in segment {index} (t={start:g} s)")
+
+
+def _operating_point(q_src: float, index: int, start: float, system: SystemConfig) -> tuple:
+    """A command's outputs, evaluated at its first segment, `index`.
+
+    (steady outputs, injecting, finger outputs), where the finger
+    outputs are None in state C: the sealed chamber keeps the pressure
+    an earlier command put there.
+    """
+    consts = system.consts
+    out = steady_outputs(q_src, system.fcs, consts)
+    p_f = None if out.state is FcsState.C else chamber_pressure(q_src, system.finger)
+    h_l = lubricant_column(q_src, out.q2, system.venturi, consts)
+    injecting = injection_active(h_l, system.venturi.h_t)
+    _check_finite(index, start, ("q1", out.q1), ("q2", out.q2), ("q_exhaust", out.q_exhaust))
+    finger = None if p_f is None else _finger_outputs(p_f, system.finger, index, start)
+    return out, injecting, finger
+
+
+def _finger_outputs(p_f: float, cfg: FingerConfig, index: int, start: float) -> tuple:
+    """(p_f, f_tip, r) at chamber pressure p_f, first held in segment `index`."""
+    f_tip = tip_force(p_f, cfg)
+    r = bending_radius(p_f, cfg)
+    _check_finite(index, start, ("p_f", p_f), ("f_tip", f_tip))
+    if math.isnan(r):
+        raise SimulationError(f"r is nan in segment {index} (t={start:g} s)")
+    return p_f, f_tip, r
 
 
 def _run_event(event, index, scene, f_tip, tracker, system, consts, results) -> None:
@@ -599,11 +646,18 @@ def design_search(
             "injection fraction <= 1 can deliver it")
 
     f_need = blocking_force(lpm_to_m3s((1.0 - fcs.alpha) * q_bc), fcs.f_block_curve)
-    s3 = calibrate_s3(fcs.epsilon, consts.rho_air, lpm_to_m3s(jet_at_bc), f_need)
-    f_rot = consts.rho_air * (fcs.alpha * lpm_to_m3s(q_ab)) ** 2 / s3
-    gamma = q2_act / jet_at_bc
+    if not f_need > 0:
+        raise InfeasibleDesignError(
+            f"the blocking curve gives {f_need:g} N at the finger-line flow of the "
+            f"q_bc target ({q_bc:g} L/min); pinch-off needs a positive blocking force")
+    s3 = _tuned("jet area s3", targets,
+                calibrate_s3(fcs.epsilon, consts.rho_air, lpm_to_m3s(jet_at_bc), f_need))
+    f_rot = _tuned("lever onset f_rot", targets,
+                   consts.rho_air * (fcs.alpha * lpm_to_m3s(q_ab)) ** 2 / s3)
+    gamma = _tuned("injection fraction gamma", targets, q2_act / jet_at_bc)
     tuned_fcs = replace(fcs, s3=s3, f_rot=f_rot, gamma=gamma)
-    s_out = size_orifice(lpm_to_m3s(q2_act), base.venturi, consts)
+    s_out = size_orifice(_tuned("q2 onset in m^3/s", targets, lpm_to_m3s(q2_act)),
+                         base.venturi, consts)
     tuned = replace(base, fcs=tuned_fcs,
                     venturi=replace(base.venturi, s_out=s_out))
 
@@ -617,6 +671,17 @@ def design_search(
             f"tuned config missed the targets: achieved {achieved}, "
             f"wanted within {tolerance_lpm} L/min and {DESIGN_REL_TOLERANCE:g} relative")
     return tuned, report
+
+
+def _tuned(name: str, targets: DesignTargets, value: float) -> float:
+    """A tuned parameter, which must be positive and finite."""
+    if not 0.0 < value < math.inf:
+        how = "underflows to 0" if value == 0.0 else f"overflows to {value}"
+        raise InfeasibleDesignError(
+            f"{name} {how} for targets q_ab {targets.q_ab_lpm:g}, q_bc "
+            f"{targets.q_bc_lpm:g} and q2 {targets.q2_activation_lpm:g} L/min; "
+            "no finite geometry hits them")
+    return value
 
 
 # --- prototype-table validation ---------------------------------------

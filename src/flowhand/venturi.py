@@ -259,10 +259,11 @@ def size_orifice(
         p_in = inlet_pressure(q_src, target_q2, cfg, consts)
 
     suction_needed = consts.rho_lubricant * consts.g * cfg.h_t + p_in
-    if suction_needed > 0:
-        inv_sq = 2.0 * suction_needed / (consts.rho_air * target_q2 ** 2) + 1.0 / cfg.s_in ** 2
+    # a target_q2 whose square underflows needs an orifice of no area
+    if suction_needed > 0 and (flow_sq := consts.rho_air * target_q2 ** 2) > 0:
+        inv_sq = 2.0 * suction_needed / flow_sq + 1.0 / cfg.s_in ** 2
         s_out = 1.0 / (cfg.discharge_coeff * math.sqrt(inv_sq))
-        if s_out < cfg.s_in:
+        if 0.0 < s_out < cfg.s_in:
             return s_out
     raise InfeasibleDesignError(
         "no orifice narrower than the inlet can set this onset "

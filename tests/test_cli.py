@@ -181,6 +181,23 @@ def test_design_search_infeasible(capsys):
     assert "q_ab < q_bc" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("targets", [("5", "1e200", "30"), ("1e-300", "1e300", "1")])
+def test_design_search_overflowing_jet_area_exits_1(targets, capsys):
+    # the calibrated s3 overflows to inf, which zeroed the pinch-force gain
+    q_ab, q_bc, q2 = targets
+    assert main(["design-search", "--q-ab", q_ab, "--q-bc", q_bc, "--q2", q2]) == 1
+    err = capsys.readouterr().err
+    assert "jet area s3 overflows" in err
+    assert "Traceback" not in err
+
+
+def test_design_search_zero_blocking_curve_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"fcs": {"f_block_knots": [[0, 0.0], [100, 0.0]]}}))
+    assert main(["design-search", "--config", str(cfg)]) == 1
+    assert "positive blocking force" in capsys.readouterr().err
+
+
 def test_table1_stdout_matches_golden(capsys, tmp_path):
     from pathlib import Path
     golden = Path(__file__).parent / "data" / "table1_golden.txt"

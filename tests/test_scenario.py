@@ -411,6 +411,30 @@ def test_design_search_infeasible_injection_flow():
                                     q2_activation_lpm=99.0))
 
 
+EXTREME_LPM = (1e-320, 1e-300, 1e-160, 1e-100, 1.0, 30.0, 1e100, 1e160, 1e300, 1e308)
+
+
+@pytest.mark.parametrize("q_ab", EXTREME_LPM)
+def test_design_search_extreme_targets_succeed_or_are_infeasible(q_ab):
+    # a tuned area, force or fraction that leaves the float range is an
+    # InfeasibleDesignError naming it, never a ZeroDivisionError or a
+    # ValueError from a config constructor
+    for q_bc in EXTREME_LPM:
+        for q2 in EXTREME_LPM:
+            try:
+                design_search(DesignTargets(q_ab_lpm=q_ab, q_bc_lpm=q_bc,
+                                            q2_activation_lpm=q2))
+            except InfeasibleDesignError:
+                pass
+
+
+def test_design_search_names_the_underflowing_parameter():
+    with pytest.raises(InfeasibleDesignError, match="lever onset f_rot underflows"):
+        design_search(DesignTargets(q_ab_lpm=1e-300, q_bc_lpm=1.0, q2_activation_lpm=0.5))
+    with pytest.raises(InfeasibleDesignError, match="q2 onset in m\\^3/s underflows"):
+        design_search(DesignTargets(q_ab_lpm=1.0, q_bc_lpm=100.0, q2_activation_lpm=1e-320))
+
+
 def test_table1_report_classifies_all_rows():
     report = validate_table1()
     assert report.all_match()

@@ -1,28 +1,44 @@
-"""Segment-run traces: closed-form step ranges and the streamed CSV.
+"""Segment-run traces: closed-form step ranges, per-command operating
+points and the streamed CSV.
 
 A trace holds one run per segment, and rows exist only while to_csv
-writes them.  The oracles here are the per-step forms the runs replace:
-stepping `while k * dt < end - _EPS` for the step ranges, and formatting
-every column of every `trace.records` row for the CSV.
+writes them.  The oracles here are the per-step and per-segment forms
+the runs and their tables replace: stepping `while k * dt < end - _EPS`
+for the step ranges, evaluating the whole chain for every segment for
+the runs, and formatting every column of every `trace.records` row for
+the CSV.
 """
 
 import io
 import math
+from dataclasses import replace
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flowhand.core import lpm_to_m3s, m3s_to_lpm, m_to_mm, pa_to_kpa
+import flowhand.scenario as scenario_module
+from flowhand.config import ConfigError
+from flowhand.core import PiecewiseLinearCurve, lpm_to_m3s, m3s_to_lpm, m_to_mm, pa_to_kpa
+from flowhand.fcs import FcsState, steady_outputs
+from flowhand.finger import FingerConfig, bending_radius, chamber_pressure, tip_force
 from flowhand.scenario import (
     _EPS,
     CSV_HEADER,
     EVENTS,
     Scenario,
     Segment,
+    SegmentRun,
+    SimTrace,
+    SimulationError,
+    _run_event,
     _step_stop,
+    load_scenario,
     run_scenario,
 )
-from flowhand.tasks import GraspScene
+from flowhand.system import default_system
+from flowhand.tasks import FrictionTracker, GraspScene
+from flowhand.venturi import injection_active, lubricant_column
 
 oracle = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 
@@ -153,3 +169,168 @@ def test_streamed_csv_flushes_long_traces_whole():
     trace.to_csv(Sink())
     assert len(writes) > 1
     assert "".join(writes) == trace.to_csv()
+
+
+# --- one evaluation per distinct command ------------------------------
+
+def per_segment_run_scenario(scenario, system, scene):
+    """The reference for run_scenario: the whole chain evaluated for
+    every segment, with no table of commands."""
+    consts = system.consts
+    tracker = FrictionTracker()
+    p_latch = 0.0
+    runs = []
+    results = {}
+
+    dt = scenario.timestep
+    k = 0
+    start = 0.0
+    for i, seg in enumerate(scenario.segments):
+        end = start + seg.duration
+        out = steady_outputs(seg.q_src, system.fcs, consts)
+        if out.state is not FcsState.C:
+            p_latch = chamber_pressure(seg.q_src, system.finger)
+        p_f = p_latch
+        h_l = lubricant_column(seg.q_src, out.q2, system.venturi, consts)
+        injecting = injection_active(h_l, system.venturi.h_t)
+        friction = tracker.record(injecting)
+        f_tip = tip_force(p_f, system.finger)
+        r = bending_radius(p_f, system.finger)
+
+        for name, value in (("q1", out.q1), ("q2", out.q2),
+                            ("q_exhaust", out.q_exhaust), ("p_f", p_f),
+                            ("f_tip", f_tip)):
+            if not math.isfinite(value):
+                raise SimulationError(
+                    f"{name} is {value} in segment {i} (t={start:g} s)")
+        if math.isnan(r):
+            raise SimulationError(f"r is nan in segment {i} (t={start:g} s)")
+
+        if seg.event is not None:
+            _run_event(seg.event, i, scene, f_tip, tracker, system, consts, results)
+
+        stop = _step_stop(k, end, dt)
+        if stop == k:
+            raise ConfigError(
+                f"segment {i} (t={start:g} s, {seg.duration:g} s long) covers no "
+                f"sample at timestep {dt:g} s")
+        runs.append(SegmentRun(k, stop, seg.q_src, out.q1, out.q2, out.q_exhaust,
+                               out.state, p_f, r, f_tip, injecting, friction, seg.event))
+        k = stop
+        start = end
+
+    return SimTrace(name=scenario.name, timestep=dt, runs=tuple(runs), **results)
+
+
+SYSTEM = default_system()
+# f_tip overflows at every pressure above about 2 Pa, so only 0 L/min and
+# pinch-off holds from an empty chamber get through
+RUNAWAY = replace(SYSTEM, finger=FingerConfig(tipforce_gain=1e308))
+# a few commands per state, so they repeat: A below 8.1 L/min, C from 118
+PALETTE = {
+    "A": (0.0, -0.0, 5.0),
+    "B": (10.0, 30.0, 50.0, 75.0),
+    "C": (118.0, 150.0, 180.0),
+}
+
+
+@st.composite
+def repeating_scenarios(draw) -> Scenario:
+    """Commands from PALETTE, often a C hold between two B commands, so
+    the latched pressure of one B command is held under the next."""
+    dt = draw(st.sampled_from(TIMESTEPS))
+    commands = []
+    for _ in range(draw(st.integers(1, 25))):
+        if draw(st.booleans()):
+            commands += [draw(st.sampled_from(PALETTE["B"]))] + [
+                draw(st.sampled_from(PALETTE["C"])) for _ in range(draw(st.integers(1, 3)))]
+        else:
+            commands.append(draw(st.sampled_from(PALETTE[draw(st.sampled_from("ABC"))])))
+    segments = tuple(
+        Segment(duration=draw(st.sampled_from((1, 1, 2, 7))) * dt, q_src=lpm_to_m3s(q),
+                event=draw(st.none() | st.none() | st.sampled_from(EVENTS)))
+        for q in commands)
+    return Scenario("repeating", segments, timestep=dt)
+
+
+def outcome(run, *args):
+    try:
+        return run(*args)
+    except SimulationError as exc:
+        return exc
+
+
+@oracle
+@given(repeating_scenarios(), st.sampled_from((SYSTEM, RUNAWAY)))
+@example(Scenario("latch", tuple(Segment(0.01, lpm_to_m3s(q)) for q in
+                                 (30.0, 150.0, 50.0, 150.0, 30.0, 150.0, 0.0, -0.0, 150.0))),
+         SYSTEM)
+@example(Scenario("first-bad", tuple(Segment(0.01, lpm_to_m3s(q)) for q in
+                                     (150.0, 0.0, 150.0, 30.0, 30.0))), RUNAWAY)
+def test_runs_and_csv_match_per_segment_evaluation(scenario, system):
+    got = outcome(run_scenario, scenario, system, SCENE)
+    want = outcome(per_segment_run_scenario, scenario, system, SCENE)
+    if isinstance(want, SimulationError):
+        assert isinstance(got, SimulationError) and str(got) == str(want)
+        return
+    # repr tells -0.0 from 0.0, which == does not
+    assert [repr(run) for run in got.runs] == [repr(run) for run in want.runs]
+    assert repr(got) == repr(want)
+    assert got.to_csv() == row_by_row_csv(want)
+
+
+@pytest.mark.parametrize("commands, first_bad", [
+    ((30.0,), 0),
+    ((0.0, 150.0, 30.0, 30.0), 2),
+    ((150.0, 0.0, 150.0, 0.0, 50.0, 0.0, 50.0), 4),
+])
+def test_runaway_output_names_first_offending_segment(commands, first_bad):
+    dt = 0.01
+    scenario = Scenario("runaway", tuple(Segment(dt, lpm_to_m3s(q)) for q in commands),
+                        timestep=dt)
+    with pytest.raises(SimulationError,
+                       match=rf"^f_tip is inf in segment {first_bad} \(t={first_bad * dt:g} s\)$"):
+        run_scenario(scenario, RUNAWAY)
+
+
+def test_each_distinct_command_is_evaluated_once(monkeypatch):
+    calls = {"steady_outputs": [], "lubricant_column": []}
+
+    def counted(name, fn):
+        def wrapper(q_src, *args):
+            calls[name].append(q_src)
+            return fn(q_src, *args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(scenario_module, name, counted(name, getattr(scenario_module, name)))
+    commands = [lpm_to_m3s(q) for q in (0.0, 5.0, 30.0, 50.0, 150.0)]
+    scenario = Scenario("churn", tuple(Segment(0.01, commands[i % 5]) for i in range(1000)))
+    trace = run_scenario(scenario, SYSTEM)
+    assert len(trace.runs) == 1000
+    for name, seen in calls.items():
+        assert sorted(seen) == sorted(commands), name
+
+
+def test_negative_zero_command_prints_zero_flows():
+    scenario, _ = load_scenario({"segments": [{"duration_s": 0.02, "q_src_lpm": -0.0}]})
+    assert math.copysign(1.0, scenario.segments[0].q_src) == 1.0
+    assert math.copysign(1.0, Segment(1.0, -0.0).q_src) == 1.0
+    lines = run_scenario(scenario).to_csv().splitlines()
+    assert lines[0].split(",")[1:5] == ["q_src_lpm", "q1_lpm", "q2_lpm", "q_exhaust_lpm"]
+    assert len(lines) == 3
+    for line in lines[1:]:
+        assert line.split(",")[1:5] == ["0", "0", "0", "0"]
+
+
+def test_negative_zero_pressure_knot_prints_zero():
+    # 0 L/min maps onto the -0.0 knot, 5 L/min interpolates to 0.0; held
+    # under pinch-off, the two made equal tails that printed differently
+    pressure = PiecewiseLinearCurve(((0.0, -0.0), (10.0, -0.0), (50.0, 32300.0)))
+    system = replace(SYSTEM, finger=FingerConfig(pressure_map=pressure))
+    segments = tuple(Segment(0.01, lpm_to_m3s(q)) for q in (0.0, 150.0, 5.0, 150.0))
+    trace = run_scenario(Scenario("zero", segments), system)
+    text = trace.to_csv()
+    assert text == row_by_row_csv(trace)
+    for line in text.splitlines()[1:]:
+        assert "-0" not in line.split(",")

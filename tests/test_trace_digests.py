@@ -2,13 +2,15 @@
 
 `bench/workloads.py` generates the seed-0 scenario pools and
 `bench/reference.json` holds the SHA-256 of every CSV the program must
-write for them.  Every `long_holds` op and the `segment_churn` ops of up
-to 300 segments run here through `flowhand.cli.main`; nothing under
-`bench/` is written.
+write for them.  Every `long_holds` and `segment_churn` op runs here
+through `flowhand.cli.main`, and one tiny benchmark run checks the
+harness end to end; nothing under `bench/` is written.
 """
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -16,17 +18,19 @@ import pytest
 
 from flowhand.cli import main
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
-CHURN_MAX_SEGMENTS = 300
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
 
 
 @pytest.fixture(scope="module")
 def workloads():
     sys.path.insert(0, str(BENCH))
+    dont_write_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
     try:
         import workloads
     finally:
         sys.path.remove(str(BENCH))
+        sys.dont_write_bytecode = dont_write_bytecode
     return workloads
 
 
@@ -38,11 +42,23 @@ def digests():
 @pytest.mark.parametrize("workload", ["long_holds", "segment_churn"])
 def test_simulate_csv_matches_recorded_digest(workload, workloads, digests, tmp_path, capsys):
     ops = workloads.generate(workload, 0, tmp_path)
-    if workload == "segment_churn":
-        ops = [op for op in ops if op.segments <= CHURN_MAX_SEGMENTS]
     assert ops
     for op in ops:
         assert op.kind == "simulate"
         assert main(op.argv) == 0, capsys.readouterr().err
         got = hashlib.sha256(Path(op.outputs[0]).read_bytes()).hexdigest()
         assert got == digests[workload][op.pos], f"op {op.pos}: {op.rows} rows"
+
+
+def test_tiny_benchmark_run_is_correct():
+    # three passes over a few small segment_churn ops; generated files
+    # go to .bench_out/ at the root of the checkout
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", "segment_churn", "--tiny",
+         "--seconds", "0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True, proc.stderr
+    assert result["failed"] == 0 and result["attempted"] > 0

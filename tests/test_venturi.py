@@ -203,6 +203,11 @@ def test_size_orifice_infeasible_reported():
     lossy = make_config(h_t=1e-6, discharge_coeff=0.5)
     with pytest.raises(InfeasibleDesignError, match="narrower than the inlet"):
         size_orifice(lpm_to_m3s(44.0), lossy, CONSTS)
+    # a target so small that its square underflows needs an orifice of no area
+    with pytest.raises(InfeasibleDesignError, match="narrower than the inlet"):
+        size_orifice(1e-170, make_config(), CONSTS)
+    with pytest.raises(InfeasibleDesignError, match="narrower than the inlet"):
+        size_orifice(1e-160, make_config(), CONSTS)
 
 
 def test_size_orifice_round_trip():
