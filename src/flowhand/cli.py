@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from .config import ConfigError, load_system, system_to_dict
 from .core import lpm_to_m3s, m3s_to_lpm
@@ -47,11 +46,17 @@ from .venturi import (
 )
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
+def _emit(write, out: str | None) -> None:
+    """Call `write` with the --out file open, or with stdout when there is
+    none; a file that cannot be opened or written is a ConfigError."""
+    if not out:
+        write(sys.stdout)
+        return
+    try:
+        with open(out, "w") as fh:
+            write(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out}: {exc}") from exc
 
 
 def _warn(lines) -> None:
@@ -66,11 +71,7 @@ def _cmd_simulate(args) -> int:
     trace = run_scenario(scenario, system, scene)
     # the file is opened only once the run has succeeded, so a failed
     # run leaves no partial CSV behind
-    if args.out:
-        with open(args.out, "w") as fh:
-            trace.to_csv(fh)
-    else:
-        trace.to_csv(sys.stdout)
+    _emit(trace.to_csv, args.out)
     for name, value in (("grasp", trace.grasp_ok), ("lift", trace.lift_ok),
                         ("place", trace.place_outcome), ("pivot", trace.pivot_ok)):
         if value is not None:
@@ -94,8 +95,9 @@ def _cmd_sweep(args) -> int:
             values.append(float(chunk))
         except ValueError:
             raise ConfigError(f"--values: not a number: {chunk!r}") from None
-    rows = sweep(args.param, values, system, scenario, scene)
-    _emit(sweep_csv(rows, with_scenario=scenario is not None), args.out)
+    text = sweep_csv(sweep(args.param, values, system, scenario, scene),
+                     with_scenario=scenario is not None)
+    _emit(lambda fh: fh.write(text), args.out)
     return 0
 
 
@@ -111,14 +113,16 @@ def _cmd_design_search(args) -> int:
     print(f"within {report.tolerance_lpm:g} L/min: "
           f"{'yes' if report.within_tolerance() else 'no'}")
     if args.out:
-        Path(args.out).write_text(json.dumps(system_to_dict(tuned), indent=2) + "\n")
+        text = json.dumps(system_to_dict(tuned), indent=2) + "\n"
+        _emit(lambda fh: fh.write(text), args.out)
         print(f"tuned config written to {args.out}")
     return 0
 
 
 def _cmd_table1(args) -> int:
     report = validate_table1()
-    _emit(report.to_text(), args.out)
+    text = report.to_text()
+    _emit(lambda fh: fh.write(text), args.out)
     return 0 if report.all_match() else 2
 
 

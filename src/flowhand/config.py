@@ -75,9 +75,16 @@ SCHEMA: dict[str, frozenset[str]] = {
 
 def _number(value: Any, path: str) -> float:
     # bool is an int subclass; a bare true/false here is always a mistake
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a finite number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:      # an integer past the largest float
+        raise ConfigError(f"{path}: expected a finite number, got an integer of "
+                          f"{value.bit_length()} bits, too large for a float") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+    return number
 
 
 def _integer(value: Any, path: str) -> int:
@@ -118,11 +125,18 @@ def read_json(source: dict | str | Path) -> dict:
         return source
     path = Path(source)
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
+    except ValueError as exc:  # an integer literal past the int-conversion limit
+        raise ConfigError(f"{path}: cannot parse: {exc}") from exc
+    except RecursionError:
+        raise ConfigError(f"{path}: cannot parse: arrays or objects nested "
+                          f"deeper than the parser's recursion limit") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
     return raw

@@ -16,9 +16,11 @@ distinct set of constant columns once; SimTrace.records builds per-step
 objects on request, for inspection only.
 
 And since the hand has one input, a scenario of thousands of segments
-reuses a few operating points: run_scenario evaluates each distinct
-command once per run, in a table local to the call, and only the
-latch, the friction regime and the events run per segment.
+repeats a few segments and reuses a few operating points: load_scenario
+checks and builds each distinct segment once per file, run_scenario
+evaluates each distinct command once per run, each in a table local to
+the call, and only the latch, the friction regime and the events run
+per segment.
 
 The finger pressure latches because pinch-off seals the finger line:
 whatever air is in the chamber stays there while the switch is in the
@@ -147,9 +149,13 @@ class Scenario:
 
     def warnings(self) -> list[str]:
         """Controller-contract violations: the valve driver does 0-50 for
-        motion plus the single full-open injection command."""
+        motion plus the single full-open injection command.  One line per
+        offending segment; a command that gave none is not checked again."""
         out = []
+        quiet = set()          # commands that gave no warning
         for i, seg in enumerate(self.segments):
+            if seg.q_src in quiet:
+                continue
             q = m3s_to_lpm(seg.q_src)
             if MOTION_MAX_LPM < q < INJECTION_COMMAND_LPM:
                 out.append(
@@ -160,6 +166,8 @@ class Scenario:
                 out.append(
                     f"segment {i}: q_src {q:g} L/min exceeds the source maximum "
                     f"({INJECTION_COMMAND_LPM:g})")
+            else:
+                quiet.add(seg.q_src)
         return out
 
 
@@ -169,6 +177,12 @@ def load_scenario(source: dict | str) -> tuple[Scenario, GraspScene | None]:
     Segments are objects with duration_s, q_src_lpm, and an optional
     event; the scene gives object_width_mm and object_mass_kg for the
     task events.  Unknown keys are errors carrying the key path.
+
+    Each distinct segment is checked and built once per file: a table
+    local to the call maps a valid raw segment, its values typed, to the
+    frozen Segment built for it, and a repeat appends that same object.
+    A segment the table does not hold takes the full checks, so an error
+    names the first offending segment.
     """
     raw = read_json(source)
     for key in raw:
@@ -182,26 +196,27 @@ def load_scenario(source: dict | str) -> tuple[Scenario, GraspScene | None]:
     if "segments" not in raw or not isinstance(raw["segments"], list) or not raw["segments"]:
         raise ConfigError("segments: expected a non-empty list")
     segments = []
+    # (type(d), d, type(q), q, event) of a valid raw segment -> its Segment;
+    # the types keep 1, 1.0 and true apart
+    built: dict = {}
     for i, seg in enumerate(raw["segments"]):
-        path = f"segments[{i}]"
-        if not isinstance(seg, dict):
-            raise ConfigError(f"{path}: expected an object")
-        for key in seg:
-            if key not in ("duration_s", "q_src_lpm", "event"):
-                raise ConfigError(f"unknown scenario key '{path}.{key}'")
-        if "duration_s" not in seg or "q_src_lpm" not in seg:
-            raise ConfigError(f"{path}: needs duration_s and q_src_lpm")
-        event = seg.get("event")
-        if event is not None and event not in EVENTS:
-            raise ConfigError(f"{path}.event: unknown event {event!r}; know {EVENTS}")
-        try:
-            segments.append(Segment(
-                duration=_number(seg["duration_s"], f"{path}.duration_s"),
-                q_src=lpm_to_m3s(_number(seg["q_src_lpm"], f"{path}.q_src_lpm")),
-                event=event,
-            ))
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
+        key = None
+        # two keys, or three with an event; a missing duration_s or
+        # q_src_lpm then reads as None, which no table entry holds
+        if type(seg) is dict and len(seg) == 2 + ("event" in seg):
+            d, q, event = seg.get("duration_s"), seg.get("q_src_lpm"), seg.get("event")
+            key = (type(d), d, type(q), q, event)
+            try:
+                known = built.get(key)
+            except TypeError:            # a list or an object as a value
+                key = known = None
+            if known is not None:
+                segments.append(known)
+                continue
+        segment = _segment(seg, i)
+        if key is not None:
+            built[key] = segment
+        segments.append(segment)
 
     scene = None
     if "scene" in raw:
@@ -226,6 +241,29 @@ def load_scenario(source: dict | str) -> tuple[Scenario, GraspScene | None]:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return scenario, scene
+
+
+def _segment(seg, i: int) -> Segment:
+    """Raw segment `i` checked and built; a ConfigError names what is wrong."""
+    path = f"segments[{i}]"
+    if not isinstance(seg, dict):
+        raise ConfigError(f"{path}: expected an object")
+    for key in seg:
+        if key not in ("duration_s", "q_src_lpm", "event"):
+            raise ConfigError(f"unknown scenario key '{path}.{key}'")
+    if "duration_s" not in seg or "q_src_lpm" not in seg:
+        raise ConfigError(f"{path}: needs duration_s and q_src_lpm")
+    event = seg.get("event")
+    if event is not None and event not in EVENTS:
+        raise ConfigError(f"{path}.event: unknown event {event!r}; know {EVENTS}")
+    try:
+        return Segment(
+            duration=_number(seg["duration_s"], f"{path}.duration_s"),
+            q_src=lpm_to_m3s(_number(seg["q_src_lpm"], f"{path}.q_src_lpm")),
+            event=event,
+        )
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 class SegmentRun(NamedTuple):
@@ -317,10 +355,15 @@ class SimTrace:
         is.
         """
         dt = self.timestep
+        low = FrictionState.LOW
         rows = [CSV_HEADER + "\n"]
-        tails: dict = {}       # run[2:12], the fields of a tail -> the tail
+        # the fields of a tail, run[2:12] -> the tail, in one table per
+        # friction regime, HIGH or LOW, so that no key holds a
+        # FrictionState, whose hash runs in Python
+        tables: tuple[dict, dict] = ({}, {})
         for run in self.runs:
-            key = run[2:12]
+            tails = tables[run.friction is low]
+            key = run[2:11]
             tail = tails.get(key)
             if tail is None:
                 tail = tails[key] = _ROW_TAIL(
@@ -336,10 +379,6 @@ class SimTrace:
             return "".join(rows)
         out.write("".join(rows))
         return None
-
-
-def _fmt(x: float) -> str:
-    return format(x, ".6g")
 
 
 def _step_stop(first: int, end: float, dt: float) -> int:
@@ -566,12 +605,12 @@ def sweep_csv(rows: list[SweepRow], with_scenario: bool = False) -> str:
     """The sweep as CSV; empty cells where a threshold does not exist."""
 
     def cell(x) -> str:
-        return "" if x is None else _fmt(x)
+        return "" if x is None else format(x, ".6g")
 
     header = SWEEP_HEADER + (SWEEP_SCENARIO_COLUMNS if with_scenario else "")
     lines = [header]
     for r in rows:
-        cols = [r.param, _fmt(r.value), cell(r.q_ab_lpm), cell(r.q_bc_lpm),
+        cols = [r.param, cell(r.value), cell(r.q_ab_lpm), cell(r.q_bc_lpm),
                 cell(r.activation_lpm)]
         if with_scenario:
             cols += ["" if r.final_state is None else r.final_state.name,

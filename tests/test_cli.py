@@ -176,6 +176,52 @@ def test_failed_simulate_leaves_no_file(tmp_path, capsys):
     assert not out.exists()
 
 
+# a JSON integer of 401 digits parses, but no float holds it
+HUGE_INT = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("argv, text, key", [
+    (["simulate"], '{"segments": [{"duration_s": %s, "q_src_lpm": 5}]}' % HUGE_INT,
+     "segments[0].duration_s"),
+    (["validate", "--config"], '{"fcs": {"alpha": %s}}' % HUGE_INT, "fcs.alpha"),
+], ids=["scenario", "config"])
+def test_integer_too_large_for_a_float_exits_1(argv, text, key, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    assert main([*argv, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"config error: {key}: expected a finite number, got an integer of 1329 bits" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("content, message", [
+    # past the interpreter's int-conversion limit of 4300 digits
+    (b'{"segments": [{"duration_s": 1' + b"0" * 4999 + b', "q_src_lpm": 5}]}',
+     "cannot parse: Exceeds the limit"),
+    (b'{"segments": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+     "cannot parse: arrays or objects nested deeper"),
+    ('{"name": "caf\u00e9", "segments": []}'.encode("latin-1"), "not UTF-8 text"),
+], ids=["long-integer", "deep-nesting", "latin-1"])
+def test_unparsable_scenario_exits_1(content, message, tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_bytes(content)
+    assert main(["simulate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}: {message}")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["simulate", "SCENARIO"], ["table1"]],
+                         ids=["simulate", "table1"])
+def test_out_naming_a_directory_exits_1(argv, scenario_file, tmp_path, capsys):
+    argv = [scenario_file if a == "SCENARIO" else a for a in argv]
+    assert main([*argv, "--out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: cannot write {tmp_path}: ")
+    assert "Is a directory" in captured.err
+
+
 def test_design_search_infeasible(capsys):
     assert main(["design-search", "--q-ab", "120", "--q-bc", "100"]) == 1
     assert "q_ab < q_bc" in capsys.readouterr().err

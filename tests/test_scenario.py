@@ -1,17 +1,22 @@
 """Scenario runner, sweeps, design search, and prototype-table validation."""
 
 import json
+import math
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from flowhand.config import ConfigError, apply_override, load_system
+import flowhand.scenario as scenario_module
+from flowhand.config import ConfigError, _number, apply_override, load_system
 from flowhand.core import lpm_to_m3s, m3s_to_lpm
 from flowhand.fcs import FcsState
 from flowhand.finger import FingerConfig
 from flowhand.scenario import (
     CSV_HEADER,
+    EVENTS,
     MAX_ROWS,
     DesignReport,
     DesignTargets,
@@ -117,6 +122,160 @@ def test_load_scenario_from_file(tmp_path):
         {"name": "f", "segments": [{"duration_s": 0.1, "q_src_lpm": 30.0}]}))
     scenario, _ = load_scenario(str(path))
     assert scenario.name == "f"
+
+
+def per_segment_load(raw: dict) -> Scenario:
+    """The segments of a raw scenario checked and built one by one, as
+    load_scenario did before it kept a table of the segments it built."""
+    segments = []
+    for i, seg in enumerate(raw["segments"]):
+        path = f"segments[{i}]"
+        if not isinstance(seg, dict):
+            raise ConfigError(f"{path}: expected an object")
+        for key in seg:
+            if key not in ("duration_s", "q_src_lpm", "event"):
+                raise ConfigError(f"unknown scenario key '{path}.{key}'")
+        if "duration_s" not in seg or "q_src_lpm" not in seg:
+            raise ConfigError(f"{path}: needs duration_s and q_src_lpm")
+        event = seg.get("event")
+        if event is not None and event not in EVENTS:
+            raise ConfigError(f"{path}.event: unknown event {event!r}; know {EVENTS}")
+        try:
+            segments.append(Segment(
+                duration=_number(seg["duration_s"], f"{path}.duration_s"),
+                q_src=lpm_to_m3s(_number(seg["q_src_lpm"], f"{path}.q_src_lpm")),
+                event=event,
+            ))
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
+    try:
+        return Scenario(name="scenario", segments=tuple(segments), timestep=raw["timestep_s"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def per_segment_warnings(scenario: Scenario) -> list[str]:
+    """Scenario.warnings with every segment checked on its own."""
+    out = []
+    for i, seg in enumerate(scenario.segments):
+        q = m3s_to_lpm(seg.q_src)
+        if 50.0 < q < 150.0:
+            out.append(f"segment {i}: q_src {q:g} L/min is between the motion band "
+                       f"(0-50) and the injection command (150)")
+        elif q > 150.0:
+            out.append(f"segment {i}: q_src {q:g} L/min exceeds the source maximum (150)")
+    return out
+
+
+# valid raw values, some equal as numbers but of different types
+DURATIONS = (0.01, 0.02, 1, 1.0)
+COMMANDS = (0, 0.0, -0.0, 1, 1.0, 5, 5.0, 70, 150.0, 200)
+
+
+@st.composite
+def valid_segments(draw) -> dict:
+    seg = {"duration_s": draw(st.sampled_from(DURATIONS)),
+           "q_src_lpm": draw(st.sampled_from(COMMANDS))}
+    if draw(st.booleans()):
+        seg["event"] = draw(st.sampled_from(("grasp", "pivot", None)))
+    return seg
+
+
+@st.composite
+def spoiled(draw, seg: dict):
+    """A copy of a valid raw segment with one fault, so that it can sit
+    in a scenario next to the segment it was made from."""
+    seg = dict(seg)
+    key = draw(st.sampled_from(("duration_s", "q_src_lpm")))
+    x = seg[key]
+    how = draw(st.integers(0, 5))
+    if how == 0:    # the same value as another type, or a value no number takes
+        seg[key] = draw(st.sampled_from((x == 1, [x], str(x), -x, 0, -0.0, math.nan,
+                                         math.inf, 10 ** 400)))
+    elif how == 1:
+        del seg[key]
+    elif how == 2:
+        seg["extra"] = x
+    elif how == 3:
+        seg["event"] = draw(st.sampled_from(("fly", "Grasp", 1, ["grasp"])))
+    elif how == 4:
+        return [seg["duration_s"], seg["q_src_lpm"]]
+    else:
+        seg[key] = {"value": x}
+    return seg
+
+
+@st.composite
+def raw_scenarios(draw):
+    """A few valid raw segments and faulty copies of them, repeated in a
+    random order, each as a fresh dict the way a JSON parser hands them
+    over."""
+    valid = draw(st.lists(valid_segments(), min_size=1, max_size=5))
+    palette = valid + [draw(spoiled(draw(st.sampled_from(valid))))
+                       for _ in range(draw(st.integers(0, 3)))]
+    picks = draw(st.lists(st.integers(0, len(palette) - 1), min_size=1, max_size=40))
+    segments = [dict(palette[j]) if isinstance(palette[j], dict) else palette[j]
+                for j in picks]
+    # at 1e-6 s two 1 s segments pass the row cap
+    return {"timestep_s": draw(st.sampled_from((0.01, 1e-6))), "segments": segments}
+
+
+def repeat_after(first: dict, then) -> dict:
+    return {"timestep_s": 0.01, "segments": [first, dict(first), then]}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(raw_scenarios())
+# true equals 1 and hashes like it; an extra key or a list value must
+# not reach the segment built from the valid values beside it
+@example(repeat_after({"duration_s": 1, "q_src_lpm": 1}, {"duration_s": 1, "q_src_lpm": True}))
+@example(repeat_after({"duration_s": 1, "q_src_lpm": 5}, {"duration_s": True, "q_src_lpm": 5}))
+@example(repeat_after({"duration_s": 1.0, "q_src_lpm": 5.0},
+                      {"duration_s": 1.0, "q_src_lpm": 5.0, "extra": 1}))
+@example(repeat_after({"duration_s": 1.0, "q_src_lpm": 5.0, "event": None},
+                      {"duration_s": 1.0, "event": None, "extra": 5.0}))
+@example(repeat_after({"duration_s": 1.0, "q_src_lpm": 5.0}, {"duration_s": 1.0, "q_src_lpm": [5.0]}))
+def test_load_scenario_matches_per_segment_load(raw):
+    try:
+        expected = per_segment_load(raw)
+    except ConfigError as exc:
+        with pytest.raises(ConfigError) as got:
+            load_scenario(raw)
+        assert str(got.value) == str(exc)
+        return
+    scenario, scene = load_scenario(raw)
+    assert scene is None
+    assert scenario == expected
+    # repr tells -0.0 from 0.0
+    assert repr(scenario) == repr(expected)
+    assert scenario.warnings() == per_segment_warnings(expected)
+
+
+def test_each_distinct_segment_is_built_once(monkeypatch, tmp_path):
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append((args, kwargs))
+        return Segment(*args, **kwargs)
+
+    monkeypatch.setattr(scenario_module, "Segment", counted)
+    triples = [{"duration_s": 0.01, "q_src_lpm": 5.0},
+               {"duration_s": 0.01, "q_src_lpm": 150.0, "event": "pivot"},
+               {"duration_s": 0.02, "q_src_lpm": 5.0},
+               {"duration_s": 1, "q_src_lpm": 30},
+               {"duration_s": 1.0, "q_src_lpm": 30}]
+    path = tmp_path / "churn.json"
+    path.write_text(json.dumps({"segments": [triples[i % 5] for i in range(1000)]}))
+    scenario, _ = load_scenario(str(path))
+    assert len(built) == 5
+    assert len(scenario.segments) == 1000
+    assert scenario.segments[997] is scenario.segments[2]
+
+
+def test_warnings_name_every_offending_segment_of_a_repeated_command():
+    sc = Scenario("w", tuple(seg(1.0, q) for q in (70.0, 50.0, 70.0, 200.0, 50.0, 200.0)))
+    warns = sc.warnings()
+    assert [w.split(":")[0] for w in warns] == [f"segment {i}" for i in (0, 2, 3, 5)]
 
 
 def test_zero_flow_is_state_a_everywhere():
