@@ -8,13 +8,15 @@ Subcommands:
   table1         prototype-table validation report
   validate       self-check battery against the bench anchors
 
-Exit codes: 0 success, 1 config or usage error, 2 validation mismatch.
+Exit codes: 0 success, 1 config or input error, 2 validation mismatch or
+a malformed command line (argparse prints the usage line).
 Warnings and task outcomes go to stderr so stdout stays machine-readable.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -106,6 +108,11 @@ def _cmd_design_search(args) -> int:
     targets = DesignTargets(q_ab_lpm=args.q_ab, q_bc_lpm=args.q_bc,
                             q2_activation_lpm=args.q2)
     tuned, report = design_search(targets, system)
+    # the config is written before any result line, so a failed write
+    # exits 1 with nothing on stdout
+    if args.out:
+        text = json.dumps(system_to_dict(tuned), indent=2) + "\n"
+        _emit(lambda fh: fh.write(text), args.out)
     print(f"targets  (L/min): q_ab {targets.q_ab_lpm:g}, q_bc {targets.q_bc_lpm:g}, "
           f"q2 onset {targets.q2_activation_lpm:g}")
     print(f"achieved (L/min): q_ab {report.achieved[0]:.2f}, "
@@ -113,8 +120,6 @@ def _cmd_design_search(args) -> int:
     print(f"within {report.tolerance_lpm:g} L/min: "
           f"{'yes' if report.within_tolerance() else 'no'}")
     if args.out:
-        text = json.dumps(system_to_dict(tuned), indent=2) + "\n"
-        _emit(lambda fh: fh.write(text), args.out)
         print(f"tuned config written to {args.out}")
     return 0
 
@@ -196,7 +201,10 @@ def _cmd_validate(args) -> int:
     return 0 if ok else 2
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first call. Every caller gets
+    the same object, so parse with it and do not add to it."""
     parser = argparse.ArgumentParser(
         prog="flowhand",
         description="Flow-switched soft hand models: simulate, sweep, design, validate.")
@@ -240,6 +248,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code; a malformed command line
+    raises argparse's SystemExit(2) after printing the usage line.
+
+    The parser is built on the first call and reused for every later one
+    in the process: `parse_args` makes a fresh namespace each time, and
+    no argument has a mutable default."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -1,9 +1,11 @@
 """Command-line entry points, run in-process through main()."""
 
+import argparse
 import json
 
 import pytest
 
+from flowhand import cli
 from flowhand.cli import main
 from flowhand.config import load_system
 from flowhand.scenario import CSV_HEADER
@@ -211,8 +213,8 @@ def test_unparsable_scenario_exits_1(content, message, tmp_path, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("argv", [["simulate", "SCENARIO"], ["table1"]],
-                         ids=["simulate", "table1"])
+@pytest.mark.parametrize("argv", [["simulate", "SCENARIO"], ["table1"], ["design-search"]],
+                         ids=["simulate", "table1", "design-search"])
 def test_out_naming_a_directory_exits_1(argv, scenario_file, tmp_path, capsys):
     argv = [scenario_file if a == "SCENARIO" else a for a in argv]
     assert main([*argv, "--out", str(tmp_path)]) == 1
@@ -271,3 +273,74 @@ def test_validate_detects_detuned_system(tmp_path, capsys):
 def test_unknown_subcommand_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+@pytest.mark.parametrize("argv", [["frobnicate"], ["simulate"], ["sweep", "--values", "1"],
+                                  ["design-search", "--q-ab", "fast"]],
+                         ids=["unknown-subcommand", "missing-scenario", "missing-param",
+                              "non-numeric-target"])
+def test_usage_error_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: flowhand")
+
+
+def test_reused_parser_matches_a_fresh_one(scenario_file, tmp_path, capsys, monkeypatch):
+    # optional flags alternate with their absence, and a usage error
+    # precedes a valid call, so state left on the shared parser would show
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"fcs": {"epsilon": 2.4}}))
+    out = tmp_path / "out"
+    commands = [
+        ["simulate", scenario_file, "--config", str(cfg), "--out", str(out)],
+        ["simulate", scenario_file],
+        ["sweep", "--param", "fcs.epsilon", "--values", "2.4,2.6", "--scenario", scenario_file],
+        ["sweep", "--param", "fcs.epsilon", "--values", "2.4,2.6"],
+        ["design-search", "--q-ab", "20", "--q-bc", "100", "--q2", "30", "--out", str(out)],
+        ["design-search"],
+        ["simulate", "--out", str(out)],
+        ["table1"],
+    ]
+
+    def run_all():
+        results = []
+        for argv in commands:
+            try:
+                rc = main(argv)
+            except SystemExit as exc:
+                rc = f"SystemExit({exc.code})"
+            captured = capsys.readouterr()
+            written = out.read_bytes() if out.exists() else None
+            out.unlink(missing_ok=True)
+            results.append((rc, captured.out, captured.err, written))
+        return results
+
+    reused = run_all()
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert run_all() == reused
+    assert [r[0] for r in reused] == [0, 0, 0, 0, 0, 0, "SystemExit(2)", 0]
+    assert [r[3] is not None for r in reused] == [True, False, False, False,
+                                                   True, False, False, False]
+    assert reused[1][1].startswith(CSV_HEADER)
+    assert reused[2][1] != reused[3][1]
+    assert "q_ab 20," in reused[4][1] and "q_ab 8.1," in reused[5][1]
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for _ in range(10):
+        assert main(["design-search"]) == 0
+        assert main(["table1"]) == 0
+    # at most one root parser and five subparsers for 20 commands; none
+    # if an earlier command in this process built them
+    assert len(built) <= 6, built

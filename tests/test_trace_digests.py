@@ -3,8 +3,8 @@
 `bench/workloads.py` generates the seed-0 scenario pools and
 `bench/reference.json` holds the SHA-256 of every CSV the program must
 write for them.  Every `long_holds` and `segment_churn` op runs here
-through `flowhand.cli.main`, and one tiny benchmark run checks the
-harness end to end; nothing under `bench/` is written.
+through `flowhand.cli.main`, and a tiny benchmark run per workload checks
+the harness end to end; nothing under `bench/` is written.
 """
 
 import hashlib
@@ -50,11 +50,12 @@ def test_simulate_csv_matches_recorded_digest(workload, workloads, digests, tmp_
         assert got == digests[workload][op.pos], f"op {op.pos}: {op.rows} rows"
 
 
-def test_tiny_benchmark_run_is_correct():
-    # three passes over a few small segment_churn ops; generated files
-    # go to .bench_out/ at the root of the checkout
+@pytest.mark.parametrize("workload", ["long_holds", "segment_churn", "design_sweep"])
+def test_tiny_benchmark_run_is_correct(workload):
+    # three passes over a few small ops, every command in one process;
+    # generated files go to .bench_out/ at the root of the checkout
     proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "segment_churn", "--tiny",
+        [sys.executable, "bench/run.py", "--workload", workload, "--tiny",
          "--seconds", "0"],
         cwd=ROOT, capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
