@@ -68,6 +68,10 @@ def _warn(lines) -> None:
 
 def _cmd_simulate(args) -> int:
     system = load_system(args.config)
+    if args.config:
+        # a blocking curve the pinch force crosses more than once is a
+        # ConfigError here as in sweep, validate and design-search
+        state_thresholds(system.fcs, system.consts)
     scenario, scene = load_scenario(args.scenario)
     _warn(scenario.warnings())
     trace = run_scenario(scenario, system, scene)

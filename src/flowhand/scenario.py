@@ -302,7 +302,7 @@ class StepRecord:
     event: str | None = None
 
 
-# a CSV row is format(t, ".6g") plus this tail of its run's columns
+# a CSV row is "%.6g" % t plus this tail of its run's columns
 _ROW_TAIL = ",{:.6g},{:.6g},{:.6g},{:.6g},{},{:.6g},{:.6g},{:.6g},{},{}\n".format
 # rows gathered before a streamed to_csv writes them out
 _WRITE_ROWS = 4096
@@ -347,7 +347,10 @@ class SimTrace:
         """The trace as CSV, one row per step.
 
         A row is the formatted time plus a tail of the run's constant
-        columns, and each distinct tail is formatted once per call.
+        columns, and each distinct tail is formatted once per call.  The
+        time is written as "%.6g" % t, which gives the same text as
+        format(t, ".6g") for every float without parsing a format spec
+        per row.
         Equal fields give equal text except 0.0 and -0.0, and
         run_scenario stores no -0.0: Segment and the calibration curves
         drop the sign of zero.  Given a text file, the rows are written
@@ -371,7 +374,11 @@ class SimTrace:
                     m3s_to_lpm(run.q_exhaust), run.state.name, pa_to_kpa(run.p_f),
                     m_to_mm(run.r), run.f_tip, "1" if run.injection else "0",
                     run.friction.value)
-            rows += [format(k * dt, ".6g") + tail for k in range(run.first, run.stop)]
+            first, stop = run.first, run.stop
+            if stop - first == 1:
+                rows.append("%.6g" % (first * dt) + tail)
+            else:
+                rows += ["%.6g" % (k * dt) + tail for k in range(first, stop)]
             if out is not None and len(rows) >= _WRITE_ROWS:
                 out.write("".join(rows))
                 rows.clear()
@@ -663,7 +670,7 @@ def design_search(
     thresholds back from the tuned config and gates them on the absolute
     and the relative tolerance.  Raises InfeasibleDesignError naming the
     binding constraint when no setting can work, and ConfigError for a
-    base config with the full inlet model.
+    non-finite target or a base config with the full inlet model.
     """
     base = system or default_system()
     if not base.venturi.use_simplified_inlet:
@@ -673,6 +680,9 @@ def design_search(
     fcs = base.fcs
     q_ab, q_bc, q2_act = (targets.q_ab_lpm, targets.q_bc_lpm,
                           targets.q2_activation_lpm)
+    for name, value in (("q_ab", q_ab), ("q_bc", q_bc), ("q2 activation", q2_act)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} target {value} L/min is not a finite number")
     if not 0 < q_ab < q_bc:
         raise InfeasibleDesignError(
             f"targets need 0 < q_ab < q_bc, got {q_ab} and {q_bc} L/min: "

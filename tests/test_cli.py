@@ -127,6 +127,23 @@ def test_non_monotone_blocking_curve_exits_1(tmp_path, capsys):
     assert main(["validate", "--config", str(cfg)]) == 1
 
 
+def test_simulate_rejects_non_monotone_blocking_curve(tmp_path, capsys):
+    # the curve above ran as states C, B, B for 85, 100 and 150 L/min,
+    # while the other commands reject it
+    cfg = tmp_path / "steep.json"
+    cfg.write_text(json.dumps(
+        {"fcs": {"f_block_knots": [[1.525, 0.5], [1.61, 3.0], [2.61, 3.0]]}}))
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"segments": [
+        {"duration_s": 0.02, "q_src_lpm": q} for q in (85.0, 100.0, 150.0)]}))
+    out = tmp_path / "trace.csv"
+    assert main(["simulate", str(path), "--config", str(cfg), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not monotone" in captured.err
+    assert not out.exists()
+
+
 def test_design_search_full_inlet_exits_1(tmp_path, capsys):
     cfg = tmp_path / "full_inlet.json"
     cfg.write_text(json.dumps({"venturi": {
@@ -237,6 +254,18 @@ def test_design_search_overflowing_jet_area_exits_1(targets, capsys):
     err = capsys.readouterr().err
     assert "jet area s3 overflows" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("flag, target", [("--q-ab", "q_ab"), ("--q-bc", "q_bc"),
+                                          ("--q2", "q2 activation")])
+def test_design_search_non_finite_target_exits_1(flag, target, value, capsys):
+    assert main(["design-search", f"{flag}={value}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{target} target {value} L/min is not a finite number" in captured.err
+    for wrong in ("exceeds", "overflows", "Traceback"):
+        assert wrong not in captured.err
 
 
 def test_design_search_zero_blocking_curve_exits_1(tmp_path, capsys):

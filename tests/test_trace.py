@@ -171,6 +171,40 @@ def test_streamed_csv_flushes_long_traces_whole():
     assert "".join(writes) == trace.to_csv()
 
 
+def held_scenario(dt: float, runs) -> Scenario:
+    return Scenario("held", tuple(Segment(steps * dt, lpm_to_m3s(q)) for steps, q in runs),
+                    timestep=dt)
+
+
+@oracle
+@given(dt=st.floats(1e-5, 10.0) | st.integers(1, 1000).map(float),
+       runs=st.lists(st.tuples(st.sampled_from((1, 1, 2)) | st.integers(1, 6000),
+                               st.sampled_from(COMMANDS)), min_size=1, max_size=8))
+@example(dt=1000.0, runs=[(2000, 30.0)])
+@example(dt=1e-5, runs=[(1, 30.0), (5000, 150.0), (1, 0.0)])
+def test_percent_formatted_times_match_format(dt, runs):
+    # one-row runs next to runs that cross a write of _WRITE_ROWS rows;
+    # the oracle formats the time with format(t, ".6g").  Lines are
+    # compared, so a failure names the first differing row instead of
+    # diffing the whole text.
+    trace = run_scenario(held_scenario(dt, runs))
+    text = trace.to_csv()
+    assert text.splitlines(True) == row_by_row_csv(trace).splitlines(True)
+    streamed = io.StringIO()
+    assert trace.to_csv(streamed) is None
+    assert streamed.getvalue().splitlines(True) == text.splitlines(True)
+
+
+@pytest.mark.parametrize("dt, runs, time", [
+    (1000.0, [(2000, 30.0)], "1e+06"),
+    (1e-5, [(1, 30.0), (5000, 150.0)], "1e-05"),
+])
+def test_times_in_exponent_form(dt, runs, time):
+    times = [line.split(",", 1)[0] for line in
+             run_scenario(held_scenario(dt, runs)).to_csv().splitlines()[1:]]
+    assert time in times
+
+
 # --- one evaluation per distinct command ------------------------------
 
 def per_segment_run_scenario(scenario, system, scene):

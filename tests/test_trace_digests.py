@@ -3,11 +3,14 @@
 `bench/workloads.py` generates the seed-0 scenario pools and
 `bench/reference.json` holds the SHA-256 of every CSV the program must
 write for them.  Every `long_holds` and `segment_churn` op runs here
-through `flowhand.cli.main`, and a tiny benchmark run per workload checks
-the harness end to end; nothing under `bench/` is written.
+through `flowhand.cli.main`; so do the seed-1 pools, whose CSVs are
+compared with the harness's own rebuild, `bench/checks.expected_csv`.
+A tiny benchmark run per workload checks the harness end to end;
+nothing under `bench/` is written.
 """
 
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -22,16 +25,25 @@ ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench"
 
 
-@pytest.fixture(scope="module")
-def workloads():
+def bench_module(name: str):
+    """Import a module of `bench/` without writing bytecode there."""
     sys.path.insert(0, str(BENCH))
     dont_write_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
     try:
-        import workloads
+        return importlib.import_module(name)
     finally:
         sys.path.remove(str(BENCH))
         sys.dont_write_bytecode = dont_write_bytecode
-    return workloads
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return bench_module("workloads")
+
+
+@pytest.fixture(scope="module")
+def checks():
+    return bench_module("checks")
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +60,20 @@ def test_simulate_csv_matches_recorded_digest(workload, workloads, digests, tmp_
         assert main(op.argv) == 0, capsys.readouterr().err
         got = hashlib.sha256(Path(op.outputs[0]).read_bytes()).hexdigest()
         assert got == digests[workload][op.pos], f"op {op.pos}: {op.rows} rows"
+
+
+@pytest.mark.parametrize("workload", ["long_holds", "segment_churn"])
+def test_simulate_csv_matches_rebuilt_trace_beyond_seed_0(workload, workloads, checks,
+                                                          tmp_path, capsys):
+    # the harness rebuilds each seed-1 CSV from the per-command rows of
+    # bench/reference.json, formatting the time with format(t, ".6g")
+    ref = checks.load_reference()
+    ops = workloads.generate(workload, 1, tmp_path)
+    assert ops
+    for op in ops:
+        assert main(op.argv) == 0, capsys.readouterr().err
+        want = checks.expected_csv(workloads.ScenarioSpec.load(op.scenario), ref)
+        assert Path(op.outputs[0]).read_bytes() == want, f"op {op.pos}: {op.rows} rows"
 
 
 @pytest.mark.parametrize("workload", ["long_holds", "segment_churn", "design_sweep"])
