@@ -119,8 +119,8 @@ def _cmd_design_search(args) -> int:
         _emit(lambda fh: fh.write(text), args.out)
     print(f"targets  (L/min): q_ab {targets.q_ab_lpm:g}, q_bc {targets.q_bc_lpm:g}, "
           f"q2 onset {targets.q2_activation_lpm:g}")
-    print(f"achieved (L/min): q_ab {report.achieved[0]:.2f}, "
-          f"q_bc {report.achieved[1]:.2f}, q2 onset {report.achieved[2]:.2f}")
+    print(f"achieved (L/min): q_ab {report.achieved[0]:g}, "
+          f"q_bc {report.achieved[1]:g}, q2 onset {report.achieved[2]:g}")
     print(f"within {report.tolerance_lpm:g} L/min: "
           f"{'yes' if report.within_tolerance() else 'no'}")
     if args.out:

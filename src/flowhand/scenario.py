@@ -12,8 +12,7 @@ segment that covers no sample is rejected.
 So a trace stores one SegmentRun per segment, the segment's outputs
 plus the range of timesteps it covers, and never one object per step.
 SimTrace.to_csv expands the rows while it writes them, formatting each
-distinct set of constant columns once; SimTrace.records builds per-step
-objects on request, for inspection only.
+distinct set of constant columns once.
 
 And since the hand has one input, a scenario of thousands of segments
 repeats a few segments and reuses a few operating points: load_scenario
@@ -284,24 +283,6 @@ class SegmentRun(NamedTuple):
     event: str | None
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    """One CSV row as an object; see SimTrace.records."""
-
-    t: float
-    q_src: float               # m^3/s
-    q1: float
-    q2: float
-    q_exhaust: float
-    state: FcsState
-    p_f: float                 # Pa
-    r: float                   # m, inf when straight
-    f_tip: float               # N
-    injection: bool
-    friction: FrictionState
-    event: str | None = None
-
-
 # a CSV row is "%.6g" % t plus this tail of its run's columns
 _ROW_TAIL = ",{:.6g},{:.6g},{:.6g},{:.6g},{},{:.6g},{:.6g},{:.6g},{},{}\n".format
 # rows gathered before a streamed to_csv writes them out
@@ -324,16 +305,6 @@ class SimTrace:
     place_outcome: PlacementOutcome | None = None
     disturbance_proxy: float | None = None
     pivot_ok: bool | None = None
-
-    @property
-    def records(self) -> tuple[StepRecord, ...]:
-        """One record per step, built on each access; the event sits on
-        the first step of its segment."""
-        dt = self.timestep
-        # a run's fields q_src .. friction are StepRecord's fields after t
-        return tuple(
-            StepRecord(k * dt, *run[2:12], event=run.event if k == run.first else None)
-            for run in self.runs for k in range(run.first, run.stop))
 
     def state_sequence(self) -> list[FcsState]:
         """Visited states with consecutive repeats collapsed."""

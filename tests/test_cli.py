@@ -103,6 +103,15 @@ def test_design_search_defaults(capsys):
     assert "grid scan" not in out
 
 
+def test_design_search_prints_small_achieved_onset_as_target(capsys):
+    # a met 1e-05 L/min onset must not read as 0.00 on the achieved line
+    assert main(["design-search", "--q-ab", "8.1", "--q-bc", "118", "--q2", "1e-5"]) == 0
+    targets, achieved, within = capsys.readouterr().out.splitlines()
+    assert "q2 onset 1e-05" in targets
+    assert "q2 onset 1e-05" in achieved
+    assert within.endswith("yes")
+
+
 def test_design_search_writes_loadable_config(tmp_path, capsys):
     out = tmp_path / "tuned.json"
     assert main(["design-search", "--q-ab", "20", "--q-bc", "100",

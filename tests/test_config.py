@@ -306,3 +306,23 @@ def test_apply_override_matches_config_round_trip(base, path, value):
         assert str(got.value) == str(exc)
         return
     assert_close(apply_override(system, path, value), want)
+
+
+# Keys a base does not emit: the lever onset goes out as f_rot_N, and
+# the reference leaves the full-inlet feed unset.
+NOT_EMITTED = {
+    "reference": {"fcs.q_ab_lpm", "venturi.p_src_kpa_abs", "venturi.s_src_mm2",
+                  "venturi.s_e_mm2"},
+    "full-feed": {"fcs.q_ab_lpm"},
+}
+
+
+@pytest.mark.parametrize("base", sorted(OVERRIDE_BASES))
+def test_emission_covers_every_field(base):
+    system = load_system(OVERRIDE_BASES[base])
+    raw = system_to_dict(system)
+    emitted = {f"{s}.{k}" for s, keys in raw.items() for k in keys}
+    assert emitted == {f"{s}.{k}" for s, keys in SCHEMA.items() for k in keys} - NOT_EMITTED[base]
+    # every field survives emission and reload; not exactly, since a
+    # unit fold such as mm^2 -> m^2 -> mm^2 can move the last bit
+    assert_close(load_system(raw), system)

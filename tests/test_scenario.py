@@ -36,6 +36,8 @@ from flowhand.system import TABLE1, default_system, prototype
 from flowhand.tasks import FrictionState, GraspScene, PlacementOutcome
 from flowhand.venturi import InfeasibleDesignError, activation_threshold
 
+from steps import step_records
+
 GOLDEN = Path(__file__).parent / "data" / "table1_golden.txt"
 
 
@@ -280,9 +282,9 @@ def test_warnings_name_every_offending_segment_of_a_repeated_command():
 
 def test_zero_flow_is_state_a_everywhere():
     trace = run_scenario(hold(0.0, duration=0.1))
-    assert len(trace.records) == 10
+    assert len(step_records(trace)) == 10
     assert trace.state_sequence() == [FcsState.A]
-    for rec in trace.records:
+    for rec in step_records(trace):
         assert rec.p_f == 0.0
         assert rec.q2 == 0.0
         assert not rec.injection
@@ -292,10 +294,10 @@ def test_zero_flow_is_state_a_everywhere():
 
 def test_clock_is_global_across_segments():
     trace = run_scenario(Scenario("clk", (seg(0.03, 10.0), seg(0.03, 20.0))))
-    assert [round(r.t, 9) for r in trace.records] == [
+    assert [round(r.t, 9) for r in step_records(trace)] == [
         0.0, 0.01, 0.02, 0.03, 0.04, 0.05]
-    assert [m3s_to_lpm(r.q_src) for r in trace.records[:3]] == pytest.approx([10.0] * 3)
-    assert [m3s_to_lpm(r.q_src) for r in trace.records[3:]] == pytest.approx([20.0] * 3)
+    assert [m3s_to_lpm(r.q_src) for r in step_records(trace)[:3]] == pytest.approx([10.0] * 3)
+    assert [m3s_to_lpm(r.q_src) for r in step_records(trace)[3:]] == pytest.approx([20.0] * 3)
 
 
 def test_ramp_walks_the_three_states():
@@ -307,7 +309,7 @@ def test_flow_conservation_every_step():
     trace = run_scenario(Scenario(
         "mix", (seg(0.03, 5.0), seg(0.03, 30.0), seg(0.03, 50.0),
                 seg(0.03, 118.5), seg(0.03, 150.0))))
-    for rec in trace.records:
+    for rec in step_records(trace):
         total = rec.q1 + rec.q2 + rec.q_exhaust
         assert total == pytest.approx(rec.q_src, rel=1e-9, abs=1e-15)
 
@@ -317,20 +319,20 @@ def test_pressure_latches_through_state_c():
         "latch", (seg(0.05, 30.0), seg(0.05, 150.0), seg(0.05, 30.0))))
     # the line seals before the injection command arrives, so the chamber
     # keeps the 30 L/min pressure while the source jumps to 150
-    assert {round(r.p_f, 6) for r in trace.records} == {19380.0}
-    c_rows = [r for r in trace.records if r.state is FcsState.C]
+    assert {round(r.p_f, 6) for r in step_records(trace)} == {19380.0}
+    c_rows = [r for r in step_records(trace) if r.state is FcsState.C]
     assert c_rows and all(r.injection for r in c_rows)
     assert all(r.q1 == 0.0 for r in c_rows)
     # lubricant stays on the fingertip after the command drops back
-    assert trace.records[-1].friction is FrictionState.LOW
-    assert not trace.records[-1].injection
+    assert step_records(trace)[-1].friction is FrictionState.LOW
+    assert not step_records(trace)[-1].injection
 
 
 def test_injection_from_rest_keeps_chamber_empty():
     trace = run_scenario(hold(150.0))
     assert trace.state_sequence() == [FcsState.C]
-    assert all(r.p_f == 0.0 for r in trace.records)
-    assert all(r.injection for r in trace.records)
+    assert all(r.p_f == 0.0 for r in step_records(trace))
+    assert all(r.injection for r in step_records(trace))
 
 
 def test_injection_displacement_none_without_injection():
@@ -349,7 +351,7 @@ def test_injection_displacement_nonzero_when_finger_moves():
     system = load_system({"venturi": {"h_t_mm": 10.0}})
     trace = run_scenario(
         Scenario("b-inject", (seg(0.05, 0.0), seg(0.05, 60.0))), system)
-    assert any(r.injection and r.state is FcsState.B for r in trace.records)
+    assert any(r.injection and r.state is FcsState.B for r in step_records(trace))
     d = injection_displacement(trace, system.finger)
     assert d == pytest.approx(0.0390227, rel=1e-4)
 
@@ -372,9 +374,9 @@ def test_timestep_changes_density_not_values():
     segments = (seg(1.0, 30.0), seg(1.0, 150.0), seg(1.0, 50.0))
     fine = run_scenario(Scenario("fine", segments, timestep=0.01))
     coarse = run_scenario(Scenario("coarse", segments, timestep=0.1))
-    fine_at = {round(r.t, 9): r for r in fine.records}
-    assert len(coarse.records) == 30
-    for rec in coarse.records:
+    fine_at = {round(r.t, 9): r for r in step_records(fine)}
+    assert len(step_records(coarse)) == 30
+    for rec in step_records(coarse):
         twin = fine_at[round(rec.t, 9)]
         assert (rec.q1, rec.q2, rec.q_exhaust) == (twin.q1, twin.q2, twin.q_exhaust)
         assert (rec.p_f, rec.r, rec.f_tip) == (twin.p_f, twin.r, twin.f_tip)
@@ -397,8 +399,8 @@ def test_lubricated_place_slides_and_friction_resets():
     assert trace.disturbance_proxy == 0.0
     # rows in the place segment still carry the lubricated state; the
     # release lands on the segment after it
-    place_rows = [r for r in trace.records if 0.1 <= r.t < 0.15]
-    after_rows = [r for r in trace.records if r.t >= 0.15]
+    place_rows = [r for r in step_records(trace) if 0.1 <= r.t < 0.15]
+    after_rows = [r for r in step_records(trace) if r.t >= 0.15]
     assert all(r.friction is FrictionState.LOW for r in place_rows)
     assert all(r.friction is FrictionState.HIGH for r in after_rows)
 
@@ -441,7 +443,7 @@ def test_grasp_event_requires_scene():
 def test_event_stamped_on_first_row_only():
     sc = Scenario("e", (seg(0.03, 50.0, event="grasp"), seg(0.03, 50.0)))
     trace = run_scenario(sc, scene=GraspScene(object_width=0.05, object_mass=0.1))
-    assert [r.event for r in trace.records] == ["grasp", None, None, None, None, None]
+    assert [r.event for r in step_records(trace)] == ["grasp", None, None, None, None, None]
 
 
 def test_segment_without_a_sample_rejected():

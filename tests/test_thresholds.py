@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowhand.config import ConfigError
-from flowhand.core import PhysConstants, PiecewiseLinearCurve, lpm_to_m3s
+from flowhand.core import PhysConstants, PiecewiseLinearCurve, lpm_to_m3s, m3s_to_lpm
 from flowhand.fcs import (
     FcsConfig,
     FcsState,
@@ -181,3 +181,18 @@ def test_steep_bump_in_blocking_curve_is_rejected(y_lo, start, width, extra):
                                   (u_b / 59.0 + 1.0, y_hi)))
     with pytest.raises(ConfigError, match="not monotone"):
         state_thresholds(replace(fcs, f_block_curve=curve), CONSTS)
+
+
+def test_lever_that_blocks_as_it_rotates_jumps_from_a_to_c():
+    # A blocking curve this low is beaten by the pinch force the moment
+    # the lever rotates, so q_bc == q_ab and the state skips B: a valid
+    # design, not a config error.
+    curve = PiecewiseLinearCurve(((1.7, 0.001), (10.5, 0.002)))
+    fcs = replace(default_system().fcs, f_block_curve=curve)
+    q_ab, q_bc = state_thresholds(fcs, CONSTS)
+    assert q_bc == q_ab
+    assert m3s_to_lpm(q_ab) == pytest.approx(8.1, rel=1e-9)
+    states = [classify_state(lpm_to_m3s(q), fcs, CONSTS) for q in (5.0, 8.0, 8.2, 50.0)]
+    assert states == [FcsState.A, FcsState.A, FcsState.C, FcsState.C]
+    assert classify_state(q_ab * (1 - NEAR), fcs, CONSTS) is FcsState.A
+    assert classify_state(q_ab * (1 + NEAR), fcs, CONSTS) is FcsState.C

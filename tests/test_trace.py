@@ -5,7 +5,7 @@ A trace holds one run per segment, and rows exist only while to_csv
 writes them.  The oracles here are the per-step and per-segment forms
 the runs and their tables replace: stepping `while k * dt < end - _EPS`
 for the step ranges, evaluating the whole chain for every segment for
-the runs, and formatting every column of every `trace.records` row for
+the runs, and formatting every column of every `step_records(trace)` row for
 the CSV.
 """
 
@@ -40,6 +40,8 @@ from flowhand.system import default_system
 from flowhand.tasks import FrictionTracker, GraspScene
 from flowhand.venturi import injection_active, lubricant_column
 
+from steps import step_records
+
 oracle = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 
 TIMESTEPS = (0.003, 0.01, 0.1)
@@ -61,7 +63,7 @@ def row_by_row_csv(trace) -> str:
         return format(x, ".6g")
 
     lines = [CSV_HEADER]
-    for rec in trace.records:
+    for rec in step_records(trace):
         lines.append(",".join((
             g(rec.t), g(m3s_to_lpm(rec.q_src)), g(m3s_to_lpm(rec.q1)),
             g(m3s_to_lpm(rec.q2)), g(m3s_to_lpm(rec.q_exhaust)), rec.state.name,
@@ -140,7 +142,7 @@ def test_csv_matches_row_by_row_formatting(scenario):
     assert len(trace.runs) == len(scenario.segments)
     text = trace.to_csv()
     assert text == row_by_row_csv(trace)
-    assert text.count("\n") == 1 + len(trace.records)
+    assert text.count("\n") == 1 + len(step_records(trace))
     streamed = io.StringIO()
     assert trace.to_csv(streamed) is None
     assert streamed.getvalue() == text
@@ -153,7 +155,7 @@ def test_runs_cover_every_step_in_order():
     trace = run_scenario(Scenario("cover", segments, timestep=dt))
     assert [(run.first, run.stop) for run in trace.runs] == [
         (0, 1), (1, 5001), (5001, 5002), (5002, 5005)]
-    assert len(trace.records) == 5005
+    assert len(step_records(trace)) == 5005
 
 
 def test_streamed_csv_flushes_long_traces_whole():
