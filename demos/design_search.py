@@ -7,7 +7,7 @@ and the injector orifice; the thresholds read back from the tuned
 build then confirm they land there.
 """
 
-from flowhand.scenario import DesignTargets, design_search
+from flowhand.scenario import DESIGN_TOLERANCE_LPM, DesignTargets, design_search
 from flowhand.system import default_system
 
 
@@ -37,7 +37,7 @@ def main() -> None:
     for name, goal, got in zip(names, goals, report.achieved):
         print(f"{name:>10} {goal:8.1f} {got:10.2f}")
     print()
-    print(f"all thresholds within {report.tolerance_lpm:g} L/min: "
+    print(f"all thresholds within {DESIGN_TOLERANCE_LPM:g} L/min: "
           f"{'yes' if report.within_tolerance() else 'no'}")
 
 

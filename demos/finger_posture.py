@@ -10,6 +10,7 @@ import math
 
 from flowhand.core import lpm_to_m3s
 from flowhand.finger import (
+    N_MARKS,
     FingerConfig,
     bending_radius,
     chamber_pressure,
@@ -22,7 +23,7 @@ from flowhand.finger import (
 def main() -> None:
     cfg = FingerConfig()
     print(f"finger length {1000 * cfg.finger_length:.0f} mm, "
-          f"{cfg.n_marks} markers")
+          f"{N_MARKS} markers")
     print()
 
     print(f"{'flow':>6} {'pressure':>9} {'radius':>8} {'tip force':>10}")

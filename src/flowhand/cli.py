@@ -24,6 +24,7 @@ from .config import ConfigError, load_system, system_to_dict
 from .core import lpm_to_m3s, m3s_to_lpm
 from .fcs import steady_outputs
 from .scenario import (
+    DESIGN_TOLERANCE_LPM,
     DesignTargets,
     Scenario,
     Segment,
@@ -121,7 +122,7 @@ def _cmd_design_search(args) -> int:
           f"q2 onset {targets.q2_activation_lpm:g}")
     print(f"achieved (L/min): q_ab {report.achieved[0]:g}, "
           f"q_bc {report.achieved[1]:g}, q2 onset {report.achieved[2]:g}")
-    print(f"within {report.tolerance_lpm:g} L/min: "
+    print(f"within {DESIGN_TOLERANCE_LPM:g} L/min: "
           f"{'yes' if report.within_tolerance() else 'no'}")
     if args.out:
         print(f"tuned config written to {args.out}")
@@ -148,7 +149,7 @@ def _cmd_validate(args) -> int:
     consts = system.consts
     checks: list[tuple[str, bool, str]] = []
 
-    report = validate_table1(consts=consts)
+    report = validate_table1()
     checks.append(("table listed classification", report.listed_matches() == 4,
                    f"{report.listed_matches()}/4"))
     checks.append(("table recomputed forces", report.model_matches() == 4

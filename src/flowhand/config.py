@@ -10,7 +10,9 @@ SI on load.  f_block_knots pairs are [q1_lpm, force_N]; the curvature
 gain is per (m*kPa); pressure_map_knots pairs are [q_src_lpm, p_kpa].
 Giving q_ab_lpm instead of f_rot_N (not both) calibrates the
 lever-rotation onset so the A -> B flip lands on that flow, using the
-section's final alpha and s3.
+section's final alpha and s3.  Every other key sets its own field and
+nothing else: an injector key such as h_t_mm or rho_lub keeps the
+reference orifice, which design-search re-sizes.
 
 Unknown sections or keys are errors carrying the dotted path; silent
 ignores would let a typo masquerade as a tuned parameter.
@@ -96,14 +98,22 @@ def _kpa_curve(value: Any, path: str) -> PiecewiseLinearCurve:
 
 def _scaled(to_si, from_si):
     """Kind of a number folded to SI by to_si; a value to_si rejects,
-    such as a negative area or length, is a ConfigError naming the key."""
+    such as a negative area or length, is a ConfigError naming the key.
+    Its emitter returns the first of from_si's value and its two-ulp
+    neighbours that to_si maps back onto the same SI float, else the value."""
     def parse(value: Any, path: str) -> float:
         number = _number(value, path)
         try:
             return to_si(number)
         except ValueError as exc:
             raise ConfigError(f"{path}: {exc}") from exc
-    return parse, from_si
+
+    def emit(si: float) -> float:
+        value = from_si(si)
+        down, up = math.nextafter(value, -math.inf), math.nextafter(value, math.inf)
+        nearby = (value, down, up, math.nextafter(down, -math.inf), math.nextafter(up, math.inf))
+        return next((near for near in nearby if to_si(near) == si), value)
+    return parse, emit
 
 
 # A kind is (parse a file value at its key path to SI, emit an SI value).
@@ -115,11 +125,10 @@ _LENGTH = _scaled(mm_to_m, m_to_mm)
 _KPA = _scaled(kpa_to_pa, pa_to_kpa)
 _PER_KILO = _scaled(lambda g: g / 1000.0, lambda g: g * 1000.0)  # file gains per kPa, SI per Pa
 _CURVE = (_curve, lambda curve: [list(k) for k in curve.knots])
-_KPA_CURVE = (_kpa_curve, lambda curve: [[q, pa_to_kpa(p)] for q, p in curve.knots])
+_KPA_CURVE = (_kpa_curve, lambda curve: [[q, _KPA[1](p)] for q, p in curve.knots])
 
 # section -> file key -> (dataclass field, kind), in emission order.
-# Applied apart: q_ab_lpm recalibrates f_rot and is never emitted;
-# rho_lub is PhysConstants.rho_lubricant.
+# Only q_ab_lpm is applied apart: it recalibrates f_rot and is never emitted.
 _TABLE: dict[str, dict[str, tuple[str, tuple]]] = {
     "fcs": {
         "alpha": ("alpha", _NUMBER),
@@ -136,7 +145,7 @@ _TABLE: dict[str, dict[str, tuple[str, tuple]]] = {
         "s_out_mm2": ("s_out", _AREA),
         "s_t_mm2": ("s_t", _AREA),
         "h_t_mm": ("h_t", _LENGTH),
-        "rho_lub": ("rho_lubricant", _NUMBER),
+        "rho_lub": ("rho_lub", _NUMBER),
         "use_simplified_inlet": ("use_simplified_inlet", _BOOLEAN),
         "discharge_coeff": ("discharge_coeff", _NUMBER),
         "p_src_kpa_abs": ("p_src", _KPA),
@@ -194,7 +203,7 @@ def _apply(section: str, base: Any, raw: dict, consts: PhysConstants) -> Any:
     rows = _TABLE[section]
     updates: dict[str, Any] = {}
     for key, value in raw.items():
-        if key != "q_ab_lpm" and key != "rho_lub":
+        if key != "q_ab_lpm":
             field, (parse, _) = rows[key]
             updates[field] = parse(value, f"{section}.{key}")
     try:
@@ -205,14 +214,6 @@ def _apply(section: str, base: Any, raw: dict, consts: PhysConstants) -> Any:
     except ValueError as exc:
         raise ConfigError(f"{section}: {exc}") from exc
     return cfg
-
-
-def _with_lubricant(consts: PhysConstants, value: Any) -> PhysConstants:
-    rho = _number(value, "venturi.rho_lub")
-    try:
-        return replace(consts, rho_lubricant=rho)
-    except ValueError as exc:
-        raise ConfigError(f"venturi.rho_lub: {exc}") from exc
 
 
 def load_system(source: dict | str | Path | None = None) -> SystemConfig:
@@ -230,14 +231,10 @@ def load_system(source: dict | str | Path | None = None) -> SystemConfig:
             if key not in SCHEMA[section]:
                 raise ConfigError(f"unknown config key '{section}.{key}'")
 
-    consts = PhysConstants()
-    if "rho_lub" in raw.get("venturi", {}):
-        consts = _with_lubricant(consts, raw["venturi"]["rho_lub"])
-
-    base = default_system(consts)
-    return SystemConfig(consts=consts, **{
-        section: _apply(section, getattr(base, section), raw.get(section, {}), consts)
-        for section in _TABLE})
+    system = default_system()
+    return replace(system, **{
+        section: _apply(section, getattr(system, section), keys, system.consts)
+        for section, keys in raw.items()})
 
 
 def system_to_dict(system: SystemConfig) -> dict:
@@ -254,7 +251,7 @@ def system_to_dict(system: SystemConfig) -> dict:
         for key, (field, (_, emit)) in rows.items():
             if key == "q_ab_lpm":
                 continue
-            value = getattr(system.consts if key == "rho_lub" else cfg, field)
+            value = getattr(cfg, field)
             if value is not None:
                 emitted[key] = emit(value)
     return out
@@ -266,14 +263,11 @@ def apply_override(system: SystemConfig, path: str, value: Any) -> SystemConfig:
     The key goes through its section's load path, so unit folding,
     validation, and the q_ab recalibration (from the system's own alpha
     and s3) apply as they do in a file; every other field is kept.
-    `venturi.rho_lub` replaces the lubricant density in the constants.
     Unknown paths are errors.
     """
     parts = path.split(".")
     if len(parts) != 2 or parts[0] not in SCHEMA or parts[1] not in SCHEMA[parts[0]]:
         raise ConfigError(f"unknown config path '{path}'")
     section, key = parts
-    if key == "rho_lub":
-        return replace(system, consts=_with_lubricant(system.consts, value))
     cfg = _apply(section, getattr(system, section), {key: value}, system.consts)
     return replace(system, **{section: cfg})

@@ -72,18 +72,17 @@ def pa_to_kpa(p_pa: float) -> float:
 class PhysConstants:
     """Ambient constants shared by every model in the package.
 
-    rho_air is the default working-fluid density for a dry lab at room
-    temperature; the lubricant density is anhydrous ethanol.  All values
-    are overridable through the config file.
+    rho_air is the working-fluid density for a dry lab at room
+    temperature.  No config key sets these; the lubricant density is a
+    property of the injector (VenturiConfig.rho_lub).
     """
 
     rho_air: float = 1.2          # kg/m^3
-    rho_lubricant: float = 789.0  # kg/m^3, anhydrous ethanol
     g: float = 9.81               # m/s^2
     p_atm: float = 101325.0       # Pa absolute
 
     def __post_init__(self) -> None:
-        for name in ("rho_air", "rho_lubricant", "g", "p_atm"):
+        for name in ("rho_air", "g", "p_atm"):
             value = getattr(self, name)
             if not (value > 0) or not math.isfinite(value):
                 raise ValueError(f"{name} must be strictly positive, got {value}")
@@ -94,10 +93,11 @@ class PiecewiseLinearCurve:
     """Piecewise-linear curve through (x, y) knots, x strictly increasing.
 
     Evaluation at a knot returns its y exactly.  Between knots the value
-    is linearly interpolated.  Below the first knot the first y is held
-    (clamped, so calibration curves stay positive near zero); above the
-    last knot the final segment's slope is extended.  A single-knot
-    curve is constant everywhere.
+    is linearly interpolated, and never leaves the two knots' y range.
+    Below the first knot the first y is held (clamped, so calibration
+    curves stay positive near zero); above the last knot the final
+    segment's slope is extended.  A single-knot curve is constant
+    everywhere.
     """
 
     knots: tuple[tuple[float, float], ...]
@@ -126,10 +126,15 @@ class PiecewiseLinearCurve:
         if len(xs) == 1 or x <= xs[0]:
             return ys[0]
         i = bisect_left(xs, x)
-        if i < len(xs) and xs[i] == x:
-            return ys[i]
         if i == len(xs):  # extend the last segment
-            i -= 1
+            (x0, y0), (x1, y1) = self.knots[-2:]
+            return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+        if xs[i] == x:
+            return ys[i]
         x0, x1 = xs[i - 1], xs[i]
         y0, y1 = ys[i - 1], ys[i]
-        return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+        y = y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+        if y0 <= y <= y1 or y1 <= y <= y0:
+            return y
+        # rounding carried y past a knot's value, such as below zero force
+        return min(max(y, min(y0, y1)), max(y0, y1))

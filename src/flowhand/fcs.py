@@ -54,7 +54,8 @@ class FcsConfig:
     gamma    fraction of the jet-tube flow that survives to the injection
              line once the lever is open; the rest leaves by the exhaust
     f_block_curve  pinch force needed to close the finger line, as a
-             function of the flow it carries [x: L/min, y: N]
+             function of the flow it carries [x: L/min, y: N]; no force
+             is negative and the extended last piece does not fall
     exhaust_port_area  port cross-section [m^2]; recorded metadata only,
              the alpha it produces is configured directly
     """
@@ -78,6 +79,12 @@ class FcsConfig:
             raise ValueError(f"f_rot must be >= 0, got {self.f_rot}")
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
+        forces = [f for _, f in self.f_block_curve.knots]
+        if min(forces) < 0:
+            raise ValueError(f"f_block_curve forces must be >= 0, got {min(forces)} N")
+        if len(forces) > 1 and forces[-1] < forces[-2]:
+            raise ValueError("f_block_curve must not fall on its last piece, which extends "
+                             f"to every higher flow: {forces[-2]} -> {forces[-1]} N")
         if self.exhaust_port_area is not None and self.exhaust_port_area < 0:
             raise ValueError("exhaust_port_area must be >= 0")
 

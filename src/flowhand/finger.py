@@ -32,6 +32,7 @@ ANCHOR_FLOW_LPM = 50.0
 ANCHOR_PRESSURE_PA = 32300.0
 ANCHOR_TIP_FORCE_N = 0.38
 DEFAULT_FINGER_LENGTH = 0.08
+N_MARKS = 8                # painted marks along the side of the finger
 
 
 def _default_pressure_map() -> PiecewiseLinearCurve:
@@ -48,7 +49,6 @@ class FingerConfig:
                      reaches a half-circle bend at the 32.3 kPa anchor
     tipforce_gain    tip force per unit pressure [N/Pa]
     p_max            chamber pressure cap [Pa]
-    n_marks          painted marks along the side of the finger
     """
 
     finger_length: float = DEFAULT_FINGER_LENGTH
@@ -56,7 +56,6 @@ class FingerConfig:
     curvature_gain: float = math.pi / (DEFAULT_FINGER_LENGTH * ANCHOR_PRESSURE_PA)
     tipforce_gain: float = ANCHOR_TIP_FORCE_N / ANCHOR_PRESSURE_PA
     p_max: float = 35000.0
-    n_marks: int = 8
 
     def __post_init__(self) -> None:
         if self.pressure_map is None:
@@ -69,8 +68,6 @@ class FingerConfig:
             raise ValueError(f"tipforce_gain must be > 0, got {self.tipforce_gain}")
         if not self.p_max > 0:
             raise ValueError(f"p_max must be > 0, got {self.p_max}")
-        if self.n_marks < 2:
-            raise ValueError(f"need at least 2 marks, got {self.n_marks}")
         if self.pressure_map(0.0) != 0.0:
             raise ValueError("pressure map must pass through (0, 0)")
         ys = [y for _, y in self.pressure_map.knots]
@@ -125,13 +122,13 @@ def posture(p_f: float, cfg: FingerConfig) -> FingerPose:
     """Mark positions along the bent finger at chamber pressure p_f [Pa].
 
     The arc starts at the origin tangent to +x and bends toward +y; mark
-    i sits at arc length i * L / (n_marks - 1), the last exactly at L.
+    i sits at arc length i * L / (N_MARKS - 1), the last exactly at L.
     Straight-finger limit: marks on the +x axis.
     """
     _check_pressure(p_f, cfg)
     kappa = cfg.curvature_gain * p_f
-    step = cfg.finger_length / (cfg.n_marks - 1)
-    s = [i * step for i in range(cfg.n_marks - 1)] + [cfg.finger_length]
+    step = cfg.finger_length / (N_MARKS - 1)
+    s = [i * step for i in range(N_MARKS - 1)] + [cfg.finger_length]
     if kappa == 0.0:
         return FingerPose(marks=tuple((x, 0.0) for x in s), p_f=p_f, r=math.inf)
     marks = tuple((math.sin(kappa * x) / kappa, (1.0 - math.cos(kappa * x)) / kappa) for x in s)

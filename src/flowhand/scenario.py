@@ -60,12 +60,13 @@ from .finger import FingerConfig, chamber_pressure, bending_radius, mean_displac
 from .system import (
     INJECTION_COMMAND_LPM,
     MOTION_MAX_LPM,
-    PrototypeSpec,
+    REFERENCE_LABEL,
     SystemConfig,
     TABLE1,
     blocking_curve,
     default_system,
     listed_inversion_s3,
+    prototype,
 )
 from .tasks import (
     FrictionState,
@@ -94,6 +95,7 @@ _EPS = 1e-9
 STATE_CEILING = lpm_to_m3s(150.0)    # supply ceiling for the state flips
 # closed-form thresholds land on target to rounding; a 1 L/min gate alone
 # would pass a 0.5 L/min target at twice its value
+DESIGN_TOLERANCE_LPM = 1.0
 DESIGN_REL_TOLERANCE = 1e-6
 # twice the 1M-row scenario the performance targets are set for; a trace
 # holds one run per segment however many rows it covers, so the cap
@@ -615,23 +617,21 @@ class DesignReport:
     """Achieved thresholds next to the targets, L/min.
 
     `achieved` is read back from the tuned config in closed form and must
-    be within both `tolerance_lpm` and DESIGN_REL_TOLERANCE of each target."""
+    be within both DESIGN_TOLERANCE_LPM and DESIGN_REL_TOLERANCE of each target."""
 
     targets: DesignTargets
     achieved: tuple[float, float, float]
-    tolerance_lpm: float
 
     def within_tolerance(self) -> bool:
         goals = (self.targets.q_ab_lpm, self.targets.q_bc_lpm,
                  self.targets.q2_activation_lpm)
-        return all(abs(a - g) <= min(self.tolerance_lpm, DESIGN_REL_TOLERANCE * g)
+        return all(abs(a - g) <= min(DESIGN_TOLERANCE_LPM, DESIGN_REL_TOLERANCE * g)
                    for a, g in zip(self.achieved, goals))
 
 
 def design_search(
     targets: DesignTargets,
     system: SystemConfig | None = None,
-    tolerance_lpm: float = 1.0,
 ) -> tuple[SystemConfig, DesignReport]:
     """Tune jet area, lever onset, injection fraction, and orifice so the
     simulated thresholds hit the targets.
@@ -685,11 +685,11 @@ def design_search(
     if None in got:
         raise InfeasibleDesignError(f"verification lost a threshold: got {got}")
     achieved = tuple(m3s_to_lpm(q) for q in got)
-    report = DesignReport(targets=targets, achieved=achieved, tolerance_lpm=tolerance_lpm)
+    report = DesignReport(targets=targets, achieved=achieved)
     if not report.within_tolerance():
         raise InfeasibleDesignError(
             f"tuned config missed the targets: achieved {achieved}, "
-            f"wanted within {tolerance_lpm} L/min and {DESIGN_REL_TOLERANCE:g} relative")
+            f"wanted within {DESIGN_TOLERANCE_LPM} L/min and {DESIGN_REL_TOLERANCE:g} relative")
     return tuned, report
 
 
@@ -754,28 +754,20 @@ class Table1Report:
         return "\n".join(out) + "\n"
 
 
-def validate_table1(
-    specs: tuple[PrototypeSpec, ...] = TABLE1,
-    consts: PhysConstants | None = None,
-) -> Table1Report:
+def validate_table1() -> Table1Report:
     """Recompute the prototype table from the measured flows.
 
     Per row: jet flow as the difference q_src_max - q1_max, pinch force
     from the jet momentum with the nozzle area backed out of the
     reference row's published values, blocking force from the pooled
     curve, and the success classification both ways (published forces
-    vs recomputed).  Missing rows are an error.
+    vs recomputed).
     """
-    consts = consts or PhysConstants()
-    have = {s.label for s in specs}
-    missing = {"A", "B", "C", "D"} - have
-    if missing:
-        raise ValueError(f"missing prototype rows: {sorted(missing)}")
-    ref = next(s for s in specs if s.label == "A")
-    s3 = listed_inversion_s3(ref, consts)
+    consts = PhysConstants()
+    s3 = listed_inversion_s3(prototype(REFERENCE_LABEL), consts)
     curve = blocking_curve()
     rows = []
-    for spec in specs:
+    for spec in TABLE1:
         q3 = spec.q_src_max - spec.q1_max
         f1 = spec.epsilon * consts.rho_air * q3 ** 2 / s3
         f_block = curve(m3s_to_lpm(spec.q1_max))

@@ -152,7 +152,7 @@ def reference_gamma() -> float:
     return Q2_ONSET_LPM / (alpha * Q_BC_LPM)
 
 
-def prototype_fcs_config(label: str, consts: PhysConstants | None = None) -> FcsConfig:
+def prototype_fcs_config(label: str) -> FcsConfig:
     """Switching-mechanism config for one table row.
 
     The jet nozzle area, lever-rotation onset, and injection fraction
@@ -160,7 +160,7 @@ def prototype_fcs_config(label: str, consts: PhysConstants | None = None) -> Fcs
     values calibrated on the reference build; alpha and epsilon are the
     row's own.
     """
-    consts = consts or PhysConstants()
+    consts = PhysConstants()
     spec = prototype(label)
     ref = prototype(REFERENCE_LABEL)
     curve = blocking_curve()
@@ -189,15 +189,15 @@ class SystemConfig:
     hand: HandConfig
 
 
-def default_system(consts: PhysConstants | None = None) -> SystemConfig:
+def default_system() -> SystemConfig:
     """The tuned reference system (build A).
 
     The injector orifice is sized so the lubricant column tops the
     55 mm supply tube exactly when the injection line reaches the
     onset flow, which the switch delivers at the B -> C flip.
     """
-    consts = consts or PhysConstants()
-    fcs = prototype_fcs_config(REFERENCE_LABEL, consts)
+    consts = PhysConstants()
+    fcs = prototype_fcs_config(REFERENCE_LABEL)
     seed = VenturiConfig(s_in=mm2_to_m2(20.0), s_out=mm2_to_m2(10.0), s_t=mm2_to_m2(3.0))
     s_out = size_orifice(lpm_to_m3s(Q2_ONSET_LPM), seed, consts)
     return SystemConfig(

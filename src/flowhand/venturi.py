@@ -36,6 +36,9 @@ from dataclasses import dataclass
 from .core import PhysConstants, lpm_to_m3s
 from .fcs import FcsConfig, lever_flip_flow, steady_outputs
 
+ONSET_RESOLUTION = lpm_to_m3s(0.01)     # bisection step of the full inlet model
+ACTIVATION_CEILING = lpm_to_m3s(200.0)  # highest source flow activation_threshold tries
+
 
 class InfeasibleDesignError(ValueError):
     """A sizing or design target cannot be met by any admissible geometry."""
@@ -50,6 +53,7 @@ class VenturiConfig:
     s_t      lubricant supply tube cross-section [m^2] (geometric record;
              it cancels out of the hydrostatic balance)
     h_t      crest height of the supply tube above the tank surface [m]
+    rho_lub  lubricant density [kg/m^3]; the default is anhydrous ethanol
     discharge_coeff  multiplies s_out into an effective orifice area;
              1.0 means the ideal lossless orifice
     use_simplified_inlet  True: p_in = 0 gauge.  False: full source
@@ -60,6 +64,7 @@ class VenturiConfig:
     s_out: float
     s_t: float
     h_t: float = 0.055
+    rho_lub: float = 789.0
     discharge_coeff: float = 1.0
     use_simplified_inlet: bool = True
     s_src: float | None = None
@@ -77,6 +82,8 @@ class VenturiConfig:
             raise ValueError(f"s_t must be > 0, got {self.s_t}")
         if not self.h_t > 0:
             raise ValueError(f"h_t must be > 0, got {self.h_t}")
+        if not 0.0 < self.rho_lub < math.inf:
+            raise ValueError(f"rho_lub must be finite and > 0, got {self.rho_lub}")
         if not 0.0 < self.discharge_coeff <= 1.0:
             raise ValueError(f"discharge_coeff must be in (0, 1], got {self.discharge_coeff}")
         if not self.use_simplified_inlet:
@@ -156,14 +163,14 @@ def lubricant_column(q_src: float, q2: float, cfg: VenturiConfig, consts: PhysCo
     """Column height for an injection-line flow q2 at source flow q_src [m]."""
     delta_p = orifice_pressure_drop(q2, cfg.s_in, effective_orifice_area(cfg), consts.rho_air)
     p_in = inlet_pressure(q_src, q2, cfg, consts)
-    return lubricant_rise(p_in, delta_p, consts.rho_lubricant, consts.g)
+    return lubricant_rise(p_in, delta_p, cfg.rho_lub, consts.g)
 
 
 def q2_activation_threshold(
     cfg: VenturiConfig,
     consts: PhysConstants,
     q2_max: float = lpm_to_m3s(100.0),
-    resolution: float = lpm_to_m3s(0.01),
+    resolution: float = ONSET_RESOLUTION,
 ) -> float | None:
     """Smallest injection-line flow that starts the injection [m^3/s].
 
@@ -175,7 +182,7 @@ def q2_activation_threshold(
     if cfg.use_simplified_inlet:
         # dp(q2) = rho_lub g h_t solved for q2
         inv_sq = 1.0 / effective_orifice_area(cfg) ** 2 - 1.0 / cfg.s_in ** 2
-        q2_on = math.sqrt(2.0 * consts.rho_lubricant * consts.g * cfg.h_t
+        q2_on = math.sqrt(2.0 * cfg.rho_lub * consts.g * cfg.h_t
                           / (consts.rho_air * inv_sq))
         return q2_on if q2_on <= q2_max else None
 
@@ -186,32 +193,26 @@ def q2_activation_threshold(
     return bisect_onset(active, 0.0, q2_max, resolution)
 
 
-def activation_threshold(
-    cfg: VenturiConfig,
-    fcs: FcsConfig,
-    consts: PhysConstants,
-    q_src_max: float = lpm_to_m3s(200.0),
-    resolution: float = lpm_to_m3s(0.01),
-) -> float | None:
+def activation_threshold(cfg: VenturiConfig, fcs: FcsConfig, consts: PhysConstants) -> float | None:
     """Smallest source flow at which the composed system injects [m^3/s].
 
     Once the lever flips, the injection line carries gamma alpha q_src,
     so under the simplified inlet the onset is max(q_ab, q2_on / (gamma
     alpha)).  The full inlet model bisects the (assumed monotone)
-    active/inactive boundary to within `resolution`.  None ("never
-    activates") if the system is still inactive at q_src_max.
+    active/inactive boundary to within ONSET_RESOLUTION.  None ("never
+    activates") if the system is still inactive at ACTIVATION_CEILING.
     """
     if cfg.use_simplified_inlet:
         q2_on = q2_activation_threshold(cfg, consts, q2_max=math.inf)
         onset = max(lever_flip_flow(fcs, consts), q2_on / (fcs.gamma * fcs.alpha))
-        return onset if onset <= q_src_max else None
+        return onset if onset <= ACTIVATION_CEILING else None
 
     def active(q_src: float) -> bool:
         out = steady_outputs(q_src, fcs, consts)
         h_l = lubricant_column(q_src, out.q2, cfg, consts)
         return injection_active(h_l, cfg.h_t)
 
-    return bisect_onset(active, 0.0, q_src_max, resolution)
+    return bisect_onset(active, 0.0, ACTIVATION_CEILING, ONSET_RESOLUTION)
 
 
 def bisect_onset(active, lo: float, hi: float, resolution: float) -> float | None:
@@ -258,7 +259,7 @@ def size_orifice(
     else:
         p_in = inlet_pressure(q_src, target_q2, cfg, consts)
 
-    suction_needed = consts.rho_lubricant * consts.g * cfg.h_t + p_in
+    suction_needed = cfg.rho_lub * consts.g * cfg.h_t + p_in
     # a target_q2 whose square underflows needs an orifice of no area
     if suction_needed > 0 and (flow_sq := consts.rho_air * target_q2 ** 2) > 0:
         inv_sq = 2.0 * suction_needed / flow_sq + 1.0 / cfg.s_in ** 2

@@ -1,9 +1,15 @@
 """Command-line entry points, run in-process through main()."""
 
 import argparse
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from flowhand import cli
 from flowhand.cli import main
@@ -284,6 +290,25 @@ def test_design_search_zero_blocking_curve_exits_1(tmp_path, capsys):
     assert "positive blocking force" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("knots", [[[1.7, -1.0], [10.5, -0.5]], [[1.7, 0.98], [10.5, 0.5]]],
+                         ids=["negative", "falling"])
+@pytest.mark.parametrize("argv", [
+    ["simulate", "SCENARIO"], ["validate"],
+    ["sweep", "--param", "fcs.epsilon", "--values", "2.6"], ["design-search"],
+], ids=["simulate", "validate", "sweep", "design-search"])
+def test_negative_or_falling_blocking_curve_exits_1(argv, knots, tmp_path, capsys):
+    # a falling last piece extends below zero force at a high enough flow
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"fcs": {"f_block_knots": knots}}))
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"segments": [{"duration_s": 0.02, "q_src_lpm": 2000.0}]}))
+    argv = [str(scenario) if a == "SCENARIO" else a for a in argv]
+    assert main([*argv, "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: fcs: f_block_curve ")
+    assert "Traceback" not in err
+
+
 def test_table1_stdout_matches_golden(capsys, tmp_path):
     from pathlib import Path
     golden = Path(__file__).parent / "data" / "table1_golden.txt"
@@ -382,3 +407,45 @@ def test_parser_is_built_once_per_process(monkeypatch, capsys):
     # at most one root parser and five subparsers for 20 commands; none
     # if an earlier command in this process built them
     assert len(built) <= 6, built
+
+
+FUZZ_FLOWS_LPM = (0.0, 5.0, 50.0, 118.0, 150.0, 2000.0)
+# knot values: the bench range, round values, edges and any float
+# (non-finite ones too); lists come unsorted or sorted
+fuzz_values = st.one_of(st.floats(-5.0, 200.0), st.sampled_from(
+    [0.0, -0.0, 0.5, 1.0, 2.0, 30.0, 5e-324, -1e-300, 1e308, -1.7976931348623157e308]),
+    st.floats())
+fuzz_knots = st.lists(st.tuples(fuzz_values, fuzz_values), max_size=5,
+                      unique_by=lambda knot: knot[0])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+# f_block rounded below zero at 150 L/min between the last two knots
+@example(key="fcs.f_block_knots", knots=[(-480.22697301760286, 7.994302050787598),
+                                         (2.5423728813559268, 0.0), (3.5423728813559268, 0.0)])
+@given(key=st.sampled_from(["fcs.f_block_knots", "finger.pressure_map_knots"]),
+       knots=st.one_of(fuzz_knots, fuzz_knots.map(sorted)))
+def test_random_knot_lists_end_in_an_exit_code(key, knots):
+    # every knot list, valid or not, ends in exit 0, 1 or 2 with no
+    # exception, and a failed command leaves no --out file
+    section, name = key.split(".")
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out, every = (str(Path(tmp, n)) for n in ("cfg.json", "out.csv", "all.json"))
+        Path(cfg).write_text(json.dumps({section: {name: knots}}))
+        Path(every).write_text(json.dumps({"segments": [
+            {"duration_s": 0.02, "q_src_lpm": q} for q in FUZZ_FLOWS_LPM]}))
+        commands = [["validate", "--config", cfg],
+                    ["sweep", "--param", "fcs.epsilon", "--values", "2.6", "--config", cfg,
+                     "--scenario", every, "--out", out]]
+        for q in FUZZ_FLOWS_LPM:
+            scenario = str(Path(tmp, f"q{q:g}.json"))
+            Path(scenario).write_text(json.dumps({"segments": [
+                {"duration_s": 0.02, "q_src_lpm": q}]}))
+            commands.append(["simulate", scenario, "--config", cfg, "--out", out])
+        for argv in commands:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                rc = main(argv)
+            assert rc in (0, 1, 2), argv
+            if rc != 0:
+                assert not Path(out).exists(), argv
+            Path(out).unlink(missing_ok=True)

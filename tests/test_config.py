@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -14,10 +15,11 @@ from flowhand.config import (
     read_json,
     system_to_dict,
 )
-from flowhand.core import lpm_to_m3s
+from flowhand.core import lpm_to_m3s, m3s_to_lpm
 from flowhand.fcs import classify_state
+from flowhand.scenario import DesignTargets, design_search
 from flowhand.system import default_system
-from flowhand.venturi import size_orifice
+from flowhand.venturi import activation_threshold, size_orifice
 
 
 def states(system, *flows_lpm):
@@ -60,13 +62,22 @@ def test_pressure_map_knots_in_kpa():
     assert system.finger.pressure_map(20.0) == pytest.approx(10000.0, rel=1e-12)
 
 
-def test_lubricant_density_reaches_constants_and_sizing():
+def test_lubricant_density_keeps_hardware_orifice():
+    # like every injector key, the density leaves the sized orifice alone,
+    # so a heavier lubricant starts injecting later
+    ref = default_system()
     system = load_system({"venturi": {"rho_lub": 1000.0}})
-    assert system.consts.rho_lubricant == 1000.0
+    assert system.venturi == replace(ref.venturi, rho_lub=1000.0)
+    assert system.consts == ref.consts
+    act = activation_threshold(system.venturi, system.fcs, system.consts)
+    assert m3s_to_lpm(act) == pytest.approx(132.844, abs=1e-3)
+    # design-search re-sizes it: heavier lubricant needs stronger
+    # suction, so a narrower orifice
+    tuned, _ = design_search(DesignTargets(q_ab_lpm=8.1, q_bc_lpm=118.0,
+                                           q2_activation_lpm=44.0), system)
     expect = size_orifice(lpm_to_m3s(44.0), system.venturi, system.consts)
-    assert system.venturi.s_out == pytest.approx(expect, abs=2e-9)
-    # heavier lubricant needs stronger suction, so a narrower orifice
-    assert system.venturi.s_out < default_system().venturi.s_out
+    assert tuned.venturi.s_out == pytest.approx(expect, abs=2e-9)
+    assert tuned.venturi.s_out < ref.venturi.s_out
 
 
 def test_h_t_override_keeps_hardware_orifice():
@@ -308,6 +319,22 @@ def test_apply_override_matches_config_round_trip(base, path, value):
     assert_close(apply_override(system, path, value), want)
 
 
+@pytest.mark.parametrize("path, value", [
+    (path, value) for path, values in OVERRIDE_VALUES.items() for value in values])
+def test_file_key_matches_override(path, value):
+    # a key given in a file and the same key swept by apply_override are
+    # one setting: the same system, or the same error
+    section, key = path.split(".")
+    try:
+        want = apply_override(default_system(), path, value)
+    except ConfigError as exc:
+        with pytest.raises(ConfigError) as got:
+            load_system({section: {key: value}})
+        assert str(got.value) == str(exc)
+        return
+    assert load_system({section: {key: value}}) == want
+
+
 # Keys a base does not emit: the lever onset goes out as f_rot_N, and
 # the reference leaves the full-inlet feed unset.
 NOT_EMITTED = {
@@ -323,6 +350,15 @@ def test_emission_covers_every_field(base):
     raw = system_to_dict(system)
     emitted = {f"{s}.{k}" for s, keys in raw.items() for k in keys}
     assert emitted == {f"{s}.{k}" for s, keys in SCHEMA.items() for k in keys} - NOT_EMITTED[base]
-    # every field survives emission and reload; not exactly, since a
-    # unit fold such as mm^2 -> m^2 -> mm^2 can move the last bit
+    # every field survives emission and reload; not exactly, since no
+    # kPa value folds onto the default 32300 Pa pressure-map knot
     assert_close(load_system(raw), system)
+    # the emitted form reloads to itself exactly
+    assert system_to_dict(load_system(raw)) == raw
+
+
+@pytest.mark.parametrize("targets", [(9.3, 125.0, 40.0), (8.1, 118.0, 1e-5)])
+def test_tuned_config_reloads_to_itself(targets):
+    tuned, _ = design_search(DesignTargets(*targets))
+    raw = system_to_dict(tuned)
+    assert system_to_dict(load_system(raw)) == raw

@@ -48,7 +48,6 @@ def test_gauge_pressure_may_be_negative():
 def test_constants_defaults():
     c = PhysConstants()
     assert c.rho_air == 1.2
-    assert c.rho_lubricant == 789.0
     assert c.g == 9.81
     assert c.p_atm == 101325.0
 
@@ -56,8 +55,6 @@ def test_constants_defaults():
 def test_constants_validated():
     with pytest.raises(ValueError):
         PhysConstants(rho_air=0.0)
-    with pytest.raises(ValueError):
-        PhysConstants(rho_lubricant=-1.0)
     with pytest.raises(ValueError):
         PhysConstants(g=math.nan)
 
@@ -73,6 +70,14 @@ def test_curve_interpolates_between_knots():
     curve = PiecewiseLinearCurve(((0.0, 0.0), (10.0, 20.0)))
     assert curve(2.5) == pytest.approx(5.0)
     assert curve(7.5) == pytest.approx(15.0)
+
+
+def test_curve_interpolation_stays_within_its_knots():
+    # the plain formula rounds to -8.9e-16 N here, a negative blocking
+    # force that check_blocking refused with a ValueError
+    curve = PiecewiseLinearCurve(((-480.22697301760286, 7.994302050787598),
+                                  (2.5423728813559268, 0.0), (3.5423728813559268, 0.0)))
+    assert curve(2.5423728813559254) == 0.0
 
 
 def test_curve_clamps_below_first_knot():

@@ -8,6 +8,7 @@ import pytest
 from flowhand.core import PiecewiseLinearCurve, kpa_to_pa, lpm_to_m3s
 from flowhand.finger import (
     FingerConfig,
+    FingerPose,
     bending_radius,
     chamber_pressure,
     mean_displacement,
@@ -144,7 +145,7 @@ def test_mean_displacement_arithmetic_mean():
 
 
 def test_mark_count_mismatch_rejected():
-    small = posture(0.0, FingerConfig(n_marks=4))
+    small = FingerPose(marks=posture(0.0, CFG).marks[:4], p_f=0.0, r=math.inf)
     with pytest.raises(ValueError):
         mean_displacement(small, posture(0.0, CFG))
 
@@ -154,8 +155,6 @@ def test_config_validation():
         FingerConfig(finger_length=0.0)
     with pytest.raises(ValueError):
         FingerConfig(p_max=0.0)
-    with pytest.raises(ValueError):
-        FingerConfig(n_marks=1)
     with pytest.raises(ValueError):
         # map must start from zero pressure at zero flow
         FingerConfig(pressure_map=PiecewiseLinearCurve(((0.0, 5.0), (50.0, 10.0))))

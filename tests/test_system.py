@@ -139,7 +139,7 @@ def test_default_system_wiring():
     assert system.finger.finger_length == 0.08
     assert system.venturi.s_in == mm2_to_m2(20.0)
     assert system.venturi.s_t == mm2_to_m2(3.0)
-    assert system.consts.rho_lubricant == 789.0
+    assert system.venturi.rho_lub == 789.0
 
 
 def test_default_orifice_sized_for_activation():
@@ -149,7 +149,7 @@ def test_default_orifice_sized_for_activation():
     )
     assert system.venturi.s_out == pytest.approx(expect, abs=2e-9)
     closed = 1.0 / math.sqrt(
-        2.0 * CONSTS.rho_lubricant * CONSTS.g * system.venturi.h_t
+        2.0 * system.venturi.rho_lub * CONSTS.g * system.venturi.h_t
         / (CONSTS.rho_air * lpm_to_m3s(44.0) ** 2)
         + 1.0 / system.venturi.s_in ** 2
     )

@@ -79,7 +79,7 @@ def test_suction_regardless_of_flow():
         # p_in is 0 gauge, so the column rises by the whole drop
         h_l = lubricant_column(q2, q2, cfg, CONSTS)
         assert h_l > 0
-        assert h_l == pytest.approx(delta_p / (CONSTS.rho_lubricant * CONSTS.g), rel=1e-12)
+        assert h_l == pytest.approx(delta_p / (cfg.rho_lub * CONSTS.g), rel=1e-12)
 
 
 def test_inlet_pressure_simplified_is_zero():
@@ -171,7 +171,7 @@ def test_size_orifice_closed_form():
     target = lpm_to_m3s(44.0)
     sized = size_orifice(target, cfg, CONSTS)
     # independent closed-form inversion of the pressure-drop formula
-    suction = CONSTS.rho_lubricant * CONSTS.g * cfg.h_t
+    suction = cfg.rho_lub * CONSTS.g * cfg.h_t
     inv_sq = 2.0 * suction / (CONSTS.rho_air * target ** 2) + 1.0 / cfg.s_in ** 2
     expect = 1.0 / math.sqrt(inv_sq)
     assert expect == pytest.approx(1.6181031660101627e-5, rel=1e-12)
@@ -256,6 +256,13 @@ def test_config_validation():
         make_config(h_t=0.0)
     with pytest.raises(ValueError):
         make_config(use_simplified_inlet=False)   # missing source geometry
+
+
+def test_lubricant_density_default_and_validated():
+    assert make_config().rho_lub == 789.0      # anhydrous ethanol
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="rho_lub"):
+            make_config(rho_lub=bad)
 
 
 def test_effective_area_uses_discharge_coefficient():
