@@ -45,15 +45,21 @@ class ConfigError(Exception):
     """Invalid config or scenario content; message carries the key path."""
 
 
-def _number(value: Any, path: str) -> float:
+def _float(value: Any, path: str) -> float:
+    """A JSON number as a float, which may be inf or nan: the caller
+    checks the value."""
     # bool is an int subclass; a bare true/false here is always a mistake
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a finite number, got {value!r}")
     try:
-        number = float(value)
+        return float(value)
     except OverflowError:      # an integer past the largest float
         raise ConfigError(f"{path}: expected a finite number, got an integer of "
                           f"{value.bit_length()} bits, too large for a float") from None
+
+
+def _number(value: Any, path: str) -> float:
+    number = _float(value, path)
     if not math.isfinite(number):
         raise ConfigError(f"{path}: expected a finite number, got {value!r}")
     return number

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
 
 LPM_PER_M3S = 60000.0
 
@@ -68,27 +67,49 @@ def pa_to_kpa(p_pa: float) -> float:
     return p_pa * 1e-3
 
 
-@dataclass(frozen=True)
 class PhysConstants:
     """Ambient constants shared by every model in the package.
 
     rho_air is the working-fluid density for a dry lab at room
     temperature.  No config key sets these; the lubricant density is a
     property of the injector (VenturiConfig.rho_lub).
+
+    An immutable value: assigning a field raises AttributeError, and
+    equal constants compare and hash equal.
     """
 
-    rho_air: float = 1.2          # kg/m^3
-    g: float = 9.81               # m/s^2
-    p_atm: float = 101325.0       # Pa absolute
+    __slots__ = ("rho_air", "g", "p_atm")
 
-    def __post_init__(self) -> None:
-        for name in ("rho_air", "g", "p_atm"):
-            value = getattr(self, name)
-            if not (value > 0) or not math.isfinite(value):
-                raise ValueError(f"{name} must be strictly positive, got {value}")
+    def __init__(self, rho_air: float = 1.2,      # kg/m^3
+                 g: float = 9.81,                 # m/s^2
+                 p_atm: float = 101325.0) -> None:  # Pa absolute
+        for name, value in (("rho_air", rho_air), ("g", g), ("p_atm", p_atm)):
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and strictly positive, got {value}")
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"PhysConstants is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    # the call that rebuilds the value, so pickle and copy validate too;
+    # == and hash compare it
+    def __reduce__(self) -> tuple:
+        return PhysConstants, (self.rho_air, self.g, self.p_atm)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not PhysConstants:
+            return NotImplemented
+        return self.__reduce__() == other.__reduce__()
+
+    def __hash__(self) -> int:
+        return hash(self.__reduce__())
+
+    def __repr__(self) -> str:
+        return f"PhysConstants(rho_air={self.rho_air!r}, g={self.g!r}, p_atm={self.p_atm!r})"
 
 
-@dataclass(frozen=True)
 class PiecewiseLinearCurve:
     """Piecewise-linear curve through (x, y) knots, x strictly increasing.
 
@@ -98,15 +119,16 @@ class PiecewiseLinearCurve:
     curves stay positive near zero); above the last knot the final
     segment's slope is extended.  A single-knot curve is constant
     everywhere.
+
+    An immutable value: assigning a field raises AttributeError, and
+    curves with equal knots compare and hash equal.
     """
 
-    knots: tuple[tuple[float, float], ...]
-    _xs: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    _ys: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("knots", "_xs", "_ys")
 
-    def __post_init__(self) -> None:
+    def __init__(self, knots) -> None:
         # + 0.0 turns -0.0 into 0.0: values print as 0, never -0
-        knots = tuple((float(x) + 0.0, float(y) + 0.0) for x, y in self.knots)
+        knots = tuple((float(x) + 0.0, float(y) + 0.0) for x, y in knots)
         if not knots:
             raise ValueError("curve needs at least one knot")
         xs = tuple(x for x, _ in knots)
@@ -120,6 +142,25 @@ class PiecewiseLinearCurve:
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "_xs", xs)
         object.__setattr__(self, "_ys", ys)
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"PiecewiseLinearCurve is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self) -> tuple:
+        return PiecewiseLinearCurve, (self.knots,)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not PiecewiseLinearCurve:
+            return NotImplemented
+        return self.knots == other.knots
+
+    def __hash__(self) -> int:
+        return hash(self.knots)
+
+    def __repr__(self) -> str:
+        return f"PiecewiseLinearCurve(knots={self.knots!r})"
 
     def __call__(self, x: float) -> float:
         xs, ys = self._xs, self._ys

@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
+from typing import NamedTuple
 
 from .core import LPM_PER_M3S, PhysConstants, PiecewiseLinearCurve, m3s_to_lpm
 
@@ -58,6 +59,8 @@ class FcsConfig:
              is negative and the extended last piece does not fall
     exhaust_port_area  port cross-section [m^2]; recorded metadata only,
              the alpha it produces is configured directly
+
+    Every number is finite.
     """
 
     alpha: float
@@ -71,12 +74,12 @@ class FcsConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
-        if not self.s3 > 0:
-            raise ValueError(f"s3 must be > 0, got {self.s3}")
-        if self.f_rot < 0:
-            raise ValueError(f"f_rot must be >= 0, got {self.f_rot}")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
+        if not 0.0 < self.s3 < math.inf:
+            raise ValueError(f"s3 must be finite and > 0, got {self.s3}")
+        if not 0.0 <= self.f_rot < math.inf:
+            raise ValueError(f"f_rot must be finite and >= 0, got {self.f_rot}")
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
         forces = [f for _, f in self.f_block_curve.knots]
@@ -85,12 +88,12 @@ class FcsConfig:
         if len(forces) > 1 and forces[-1] < forces[-2]:
             raise ValueError("f_block_curve must not fall on its last piece, which extends "
                              f"to every higher flow: {forces[-2]} -> {forces[-1]} N")
-        if self.exhaust_port_area is not None and self.exhaust_port_area < 0:
-            raise ValueError("exhaust_port_area must be >= 0")
+        area = self.exhaust_port_area
+        if area is not None and not 0.0 <= area < math.inf:
+            raise ValueError(f"exhaust_port_area must be finite and >= 0, got {area}")
 
 
-@dataclass(frozen=True)
-class FcsOutputs:
+class FcsOutputs(NamedTuple):
     """Steady flow split and lever forces for one source flow.  SI units."""
 
     q1: float         # finger line [m^3/s]

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import PhysConstants, PiecewiseLinearCurve, m3s_to_lpm
 
@@ -49,6 +50,8 @@ class FingerConfig:
                      reaches a half-circle bend at the 32.3 kPa anchor
     tipforce_gain    tip force per unit pressure [N/Pa]
     p_max            chamber pressure cap [Pa]
+
+    Every number is finite.
     """
 
     finger_length: float = DEFAULT_FINGER_LENGTH
@@ -60,14 +63,10 @@ class FingerConfig:
     def __post_init__(self) -> None:
         if self.pressure_map is None:
             object.__setattr__(self, "pressure_map", _default_pressure_map())
-        if not self.finger_length > 0:
-            raise ValueError(f"finger_length must be > 0, got {self.finger_length}")
-        if not self.curvature_gain > 0:
-            raise ValueError(f"curvature_gain must be > 0, got {self.curvature_gain}")
-        if not self.tipforce_gain > 0:
-            raise ValueError(f"tipforce_gain must be > 0, got {self.tipforce_gain}")
-        if not self.p_max > 0:
-            raise ValueError(f"p_max must be > 0, got {self.p_max}")
+        for name in ("finger_length", "curvature_gain", "tipforce_gain", "p_max"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
         if self.pressure_map(0.0) != 0.0:
             raise ValueError("pressure map must pass through (0, 0)")
         ys = [y for _, y in self.pressure_map.knots]
@@ -75,8 +74,7 @@ class FingerConfig:
             raise ValueError("pressure map must be monotone non-decreasing")
 
 
-@dataclass(frozen=True)
-class FingerPose:
+class FingerPose(NamedTuple):
     """Mark positions [m] in the finger frame for one chamber pressure.
 
     marks holds one (x, y) pair per mark, base first; r is the bending

@@ -35,11 +35,12 @@ prototype-table validation report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import NamedTuple
 
-from .config import ConfigError, _number, apply_override, read_json
+from .config import ConfigError, _float, _number, apply_override, read_json
 from .core import (
+    LPM_PER_M3S,
     PhysConstants,
     lpm_to_m3s,
     m3s_to_lpm,
@@ -108,42 +109,94 @@ class SimulationError(RuntimeError):
     """A non-finite value appeared in the trace; carries where and what."""
 
 
-@dataclass(frozen=True)
 class Segment:
-    """One piecewise-constant command: hold q_src for duration seconds."""
+    """One piecewise-constant command: hold q_src for duration seconds.
 
-    duration: float
-    q_src: float               # m^3/s
-    event: str | None = None
+    duration [s] is finite and > 0, q_src [m^3/s] finite and >= 0, and
+    event None or one of EVENTS.  An immutable value: assigning a field
+    raises AttributeError, and equal segments compare and hash equal.
+    """
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.duration) and self.duration > 0):
-            raise ValueError(f"segment duration must be > 0, got {self.duration}")
-        if not (math.isfinite(self.q_src) and self.q_src >= 0):
-            raise ValueError(f"segment q_src must be >= 0, got {self.q_src}")
-        if self.q_src == 0.0:
-            # -0.0 would print as -0, and run_scenario keys commands by
-            # value, where -0.0 and 0.0 are the same key
-            object.__setattr__(self, "q_src", 0.0)
-        if self.event is not None and self.event not in EVENTS:
-            raise ValueError(f"unknown event {self.event!r}; know {EVENTS}")
+    __slots__ = ("duration", "q_src", "event")
+
+    def __init__(self, duration: float, q_src: float, event: str | None = None) -> None:
+        if not 0.0 < duration < math.inf:
+            raise ValueError(f"segment duration must be finite and > 0, got {duration}")
+        if not 0.0 <= q_src < math.inf:
+            raise ValueError(f"segment q_src must be finite and >= 0, got {q_src} m^3/s "
+                             f"({q_src * LPM_PER_M3S:g} L/min)")
+        if event is not None and event not in EVENTS:
+            raise ValueError(f"unknown event {event!r}; know {EVENTS}")
+        object.__setattr__(self, "duration", duration)
+        # -0.0 becomes 0.0: it would print as -0, and run_scenario keys
+        # commands by value, where -0.0 and 0.0 are the same key
+        object.__setattr__(self, "q_src", q_src or 0.0)
+        object.__setattr__(self, "event", event)
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"Segment is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    # the call that rebuilds the value, so pickle and copy validate too;
+    # == and hash compare it
+    def __reduce__(self) -> tuple:
+        return Segment, (self.duration, self.q_src, self.event)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not Segment:
+            return NotImplemented
+        return self.__reduce__() == other.__reduce__()
+
+    def __hash__(self) -> int:
+        return hash(self.__reduce__())
+
+    def __repr__(self) -> str:
+        return f"Segment(duration={self.duration!r}, q_src={self.q_src!r}, event={self.event!r})"
 
 
-@dataclass(frozen=True)
 class Scenario:
-    name: str
-    segments: tuple[Segment, ...]
-    timestep: float = 0.01
+    """Named segments, sampled every timestep seconds.
 
-    def __post_init__(self) -> None:
-        if not self.segments:
+    At least one segment, a finite timestep > 0, and at most MAX_ROWS
+    samples.  An immutable value: assigning a field raises
+    AttributeError, and equal scenarios compare and hash equal.
+    """
+
+    __slots__ = ("name", "segments", "timestep")
+
+    def __init__(self, name: str, segments: tuple[Segment, ...], timestep: float = 0.01) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "segments", segments)
+        object.__setattr__(self, "timestep", timestep)
+        if not segments:
             raise ValueError("scenario needs at least one segment")
-        if not (math.isfinite(self.timestep) and self.timestep > 0):
-            raise ValueError(f"timestep must be > 0, got {self.timestep}")
+        if not 0.0 < timestep < math.inf:
+            raise ValueError(f"timestep must be finite and > 0, got {timestep}")
         duration = self.duration()
-        if duration / self.timestep > MAX_ROWS:
-            raise ValueError(f"{duration:g} s at timestep {self.timestep:g} s is "
-                             f"{duration / self.timestep:.4g} rows, over the cap of {MAX_ROWS}")
+        if duration / timestep > MAX_ROWS:
+            raise ValueError(f"{duration:g} s at timestep {timestep:g} s is "
+                             f"{duration / timestep:.4g} rows, over the cap of {MAX_ROWS}")
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"Scenario is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self) -> tuple:
+        return Scenario, (self.name, self.segments, self.timestep)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not Scenario:
+            return NotImplemented
+        return self.__reduce__() == other.__reduce__()
+
+    def __hash__(self) -> int:
+        return hash(self.__reduce__())
+
+    def __repr__(self) -> str:
+        return (f"Scenario(name={self.name!r}, segments={self.segments!r}, "
+                f"timestep={self.timestep!r})")
 
     def duration(self) -> float:
         return sum(seg.duration for seg in self.segments)
@@ -181,7 +234,7 @@ def load_scenario(source: dict | str) -> tuple[Scenario, GraspScene | None]:
 
     Each distinct segment is checked and built once per file: a table
     local to the call maps a valid raw segment, its values typed, to the
-    frozen Segment built for it, and a repeat appends that same object.
+    Segment built for it, and a repeat appends that same immutable object.
     A segment the table does not hold takes the full checks, so an error
     names the first offending segment.
     """
@@ -245,7 +298,10 @@ def load_scenario(source: dict | str) -> tuple[Scenario, GraspScene | None]:
 
 
 def _segment(seg, i: int) -> Segment:
-    """Raw segment `i` checked and built; a ConfigError names what is wrong."""
+    """Raw segment `i` checked and built; a ConfigError names what is wrong.
+
+    Here the keys, the event and the type of each number are checked;
+    Segment checks the values, each once."""
     path = f"segments[{i}]"
     if not isinstance(seg, dict):
         raise ConfigError(f"{path}: expected an object")
@@ -258,11 +314,9 @@ def _segment(seg, i: int) -> Segment:
     if event is not None and event not in EVENTS:
         raise ConfigError(f"{path}.event: unknown event {event!r}; know {EVENTS}")
     try:
-        return Segment(
-            duration=_number(seg["duration_s"], f"{path}.duration_s"),
-            q_src=lpm_to_m3s(_number(seg["q_src_lpm"], f"{path}.q_src_lpm")),
-            event=event,
-        )
+        return Segment(_float(seg["duration_s"], f"{path}.duration_s"),
+                       _float(seg["q_src_lpm"], f"{path}.q_src_lpm") / LPM_PER_M3S,
+                       event)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -291,8 +345,7 @@ _ROW_TAIL = ",{:.6g},{:.6g},{:.6g},{:.6g},{},{:.6g},{:.6g},{:.6g},{},{}\n".forma
 _WRITE_ROWS = 4096
 
 
-@dataclass(frozen=True)
-class SimTrace:
+class SimTrace(NamedTuple):
     """One run per segment plus the outcomes of any task events.
 
     Step k of the trace is at time k * timestep; a run covers the steps
@@ -530,8 +583,7 @@ SWEEP_HEADER = "param,value,q_ab_lpm,q_bc_lpm,activation_lpm"
 SWEEP_SCENARIO_COLUMNS = ",final_state,injected,max_p_f_kpa"
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     param: str
     value: float
     q_ab_lpm: float | None
@@ -571,8 +623,7 @@ def sweep(
         )
         if scenario is not None:
             runs = run_scenario(scenario, sys_i, scene).runs
-            row = replace(
-                row,
+            row = row._replace(
                 final_state=runs[-1].state,
                 injected=any(run.injection for run in runs),
                 max_p_f_kpa=pa_to_kpa(max(run.p_f for run in runs)),
@@ -602,8 +653,7 @@ def sweep_csv(rows: list[SweepRow], with_scenario: bool = False) -> str:
 
 # --- inverse design ---------------------------------------------------
 
-@dataclass(frozen=True)
-class DesignTargets:
+class DesignTargets(NamedTuple):
     """Operating points to hit, in L/min: the two state flips and the
     injection-line flow at which injection starts."""
 
@@ -612,8 +662,7 @@ class DesignTargets:
     q2_activation_lpm: float
 
 
-@dataclass(frozen=True)
-class DesignReport:
+class DesignReport(NamedTuple):
     """Achieved thresholds next to the targets, L/min.
 
     `achieved` is read back from the tuned config in closed form and must
@@ -706,8 +755,7 @@ def _tuned(name: str, targets: DesignTargets, value: float) -> float:
 
 # --- prototype-table validation ---------------------------------------
 
-@dataclass(frozen=True)
-class Table1Row:
+class Table1Row(NamedTuple):
     label: str
     q3_lpm: float              # recomputed from the measured flows
     f1: float                  # recomputed pinch force [N]
@@ -719,8 +767,7 @@ class Table1Row:
     expected_success: bool
 
 
-@dataclass(frozen=True)
-class Table1Report:
+class Table1Report(NamedTuple):
     rows: tuple[Table1Row, ...]
     s3: float                  # nozzle area backed out of the reference row [m^2]
 

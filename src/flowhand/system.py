@@ -35,6 +35,7 @@ truth.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .core import PhysConstants, PiecewiseLinearCurve, lpm_to_m3s, mm2_to_m2
 from .fcs import FcsConfig, blocking_force, calibrate_s3, split_flow
@@ -50,8 +51,7 @@ MOTION_MAX_LPM = 50.0      # top of the finger-motion command band
 INJECTION_COMMAND_LPM = 150.0  # the single full-open injection command
 
 
-@dataclass(frozen=True)
-class PrototypeSpec:
+class PrototypeSpec(NamedTuple):
     """One benchmarked build of the switching mechanism (SI units).
 
     The listed_* fields carry the published estimates verbatim; the

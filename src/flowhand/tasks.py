@@ -20,6 +20,7 @@ LOW until the fingers are wiped or swapped, tracked by FrictionTracker.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 from .core import PhysConstants
@@ -49,6 +50,8 @@ class HandConfig:
     mu_pivot_crit   largest coefficient at which a held object still
                     pivots about the grip axis under gravity
     max_opening     widest graspable object [m]
+
+    Every number is finite.
     """
 
     n_fingers: int = 2
@@ -58,33 +61,59 @@ class HandConfig:
     max_opening: float = 0.073
 
     def __post_init__(self) -> None:
-        if self.n_fingers < 2:
-            raise ValueError(f"n_fingers must be >= 2, got {self.n_fingers}")
-        if not 0 < self.mu_low < self.mu_high:
+        if not 2 <= self.n_fingers < math.inf:
+            raise ValueError(f"n_fingers must be finite and >= 2, got {self.n_fingers}")
+        if not 0 < self.mu_low < self.mu_high < math.inf:
             raise ValueError(
-                f"need 0 < mu_low < mu_high, got {self.mu_low}, {self.mu_high}"
+                f"need 0 < mu_low < mu_high, both finite, got {self.mu_low}, {self.mu_high}"
             )
-        if not self.mu_pivot_crit > 0:
-            raise ValueError(f"mu_pivot_crit must be > 0, got {self.mu_pivot_crit}")
-        if not self.max_opening > 0:
-            raise ValueError(f"max_opening must be > 0, got {self.max_opening}")
+        if not 0.0 < self.mu_pivot_crit < math.inf:
+            raise ValueError(f"mu_pivot_crit must be finite and > 0, got {self.mu_pivot_crit}")
+        if not 0.0 < self.max_opening < math.inf:
+            raise ValueError(f"max_opening must be finite and > 0, got {self.max_opening}")
 
     def mu(self, state: FrictionState) -> float:
         return self.mu_high if state is FrictionState.HIGH else self.mu_low
 
 
-@dataclass(frozen=True)
 class GraspScene:
-    """Object under the hand: width [m] and mass [kg]."""
+    """Object under the hand: width [m], finite and > 0, and mass [kg],
+    finite and >= 0.
 
-    object_width: float
-    object_mass: float
+    An immutable value: assigning a field raises AttributeError, and
+    equal scenes compare and hash equal.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.object_width > 0:
-            raise ValueError(f"object_width must be > 0, got {self.object_width}")
-        if self.object_mass < 0:
-            raise ValueError(f"object_mass must be >= 0, got {self.object_mass}")
+    __slots__ = ("object_width", "object_mass")
+
+    def __init__(self, object_width: float, object_mass: float) -> None:
+        if not 0.0 < object_width < math.inf:
+            raise ValueError(f"object_width must be finite and > 0, got {object_width}")
+        if not 0.0 <= object_mass < math.inf:
+            raise ValueError(f"object_mass must be finite and >= 0, got {object_mass}")
+        object.__setattr__(self, "object_width", object_width)
+        object.__setattr__(self, "object_mass", object_mass)
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"GraspScene is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    # the call that rebuilds the value, so pickle and copy validate too;
+    # == and hash compare it
+    def __reduce__(self) -> tuple:
+        return GraspScene, (self.object_width, self.object_mass)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not GraspScene:
+            return NotImplemented
+        return self.__reduce__() == other.__reduce__()
+
+    def __hash__(self) -> int:
+        return hash(self.__reduce__())
+
+    def __repr__(self) -> str:
+        return f"GraspScene(object_width={self.object_width!r}, object_mass={self.object_mass!r})"
 
 
 def payload(f_tip: float, cfg: HandConfig, mu: float) -> float:

@@ -58,6 +58,8 @@ class VenturiConfig:
              1.0 means the ideal lossless orifice
     use_simplified_inlet  True: p_in = 0 gauge.  False: full source
              balance, which requires s_src, s_e and p_src (absolute).
+
+    Every number is finite.
     """
 
     s_in: float
@@ -72,20 +74,24 @@ class VenturiConfig:
     p_src: float | None = None
 
     def __post_init__(self) -> None:
-        if not self.s_in > 0:
-            raise ValueError(f"s_in must be > 0, got {self.s_in}")
+        if not 0.0 < self.s_in < math.inf:
+            raise ValueError(f"s_in must be finite and > 0, got {self.s_in}")
         if not 0.0 < self.s_out < self.s_in:
             raise ValueError(
                 f"need 0 < s_out < s_in for suction, got s_out={self.s_out}, s_in={self.s_in}"
             )
-        if not self.s_t > 0:
-            raise ValueError(f"s_t must be > 0, got {self.s_t}")
-        if not self.h_t > 0:
-            raise ValueError(f"h_t must be > 0, got {self.h_t}")
+        if not 0.0 < self.s_t < math.inf:
+            raise ValueError(f"s_t must be finite and > 0, got {self.s_t}")
+        if not 0.0 < self.h_t < math.inf:
+            raise ValueError(f"h_t must be finite and > 0, got {self.h_t}")
         if not 0.0 < self.rho_lub < math.inf:
             raise ValueError(f"rho_lub must be finite and > 0, got {self.rho_lub}")
         if not 0.0 < self.discharge_coeff <= 1.0:
             raise ValueError(f"discharge_coeff must be in (0, 1], got {self.discharge_coeff}")
+        for name in ("s_src", "s_e", "p_src"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
         if not self.use_simplified_inlet:
             missing = [n for n in ("s_src", "s_e", "p_src") if getattr(self, n) is None]
             if missing:

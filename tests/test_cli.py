@@ -200,6 +200,19 @@ def test_negative_area_or_length_exits_1(path, tmp_path, capsys):
     assert f"config error: {path}: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, field", [("s_src_mm2", "s_src"), ("s_e_mm2", "s_e")])
+def test_zero_full_inlet_area_exits_1(key, field, scenario_file, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    venturi = {"use_simplified_inlet": False, "p_src_kpa_abs": 101.4,
+               "s_src_mm2": 20, "s_e_mm2": 30}
+    cfg.write_text(json.dumps({"venturi": dict(venturi, **{key: 0})}))
+    for argv in (["simulate", scenario_file], ["validate"]):
+        assert main([*argv, "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert f"config error: venturi: {field} must be finite and > 0" in captured.err
+        assert captured.out == "" and "Traceback" not in captured.err
+
+
 def test_failed_simulate_leaves_no_file(tmp_path, capsys):
     path = tmp_path / "no_scene.json"
     path.write_text(json.dumps({"segments": [

@@ -143,6 +143,27 @@ def test_numbers_reject_non_finite(tmp_path):
         load_system(path)
 
 
+# every number field of a section config; None-valued ones may be set
+CONFIG_NUMBERS = [
+    ("fcs", f) for f in ("alpha", "epsilon", "s3", "f_rot", "gamma", "exhaust_port_area")
+] + [
+    ("venturi", f) for f in ("s_in", "s_out", "s_t", "h_t", "rho_lub", "discharge_coeff",
+                             "s_src", "s_e", "p_src")
+] + [
+    ("finger", f) for f in ("finger_length", "curvature_gain", "tipforce_gain", "p_max")
+] + [
+    ("hand", f) for f in ("n_fingers", "mu_high", "mu_low", "mu_pivot_crit", "max_opening")
+]
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("section, field", CONFIG_NUMBERS)
+def test_section_configs_reject_non_finite_numbers(section, field, value):
+    cfg = getattr(default_system(), section)
+    with pytest.raises(ValueError, match=field):
+        replace(cfg, **{field: value})
+
+
 def test_invalid_value_wrapped_with_section():
     with pytest.raises(ConfigError, match="fcs"):
         load_system({"fcs": {"alpha": 1.5}})
@@ -284,12 +305,19 @@ def round_trip_override(system, path, value):
     return load_system(raw)
 
 
-def assert_close(a, b, where="system"):
+def compared_fields(a) -> list[str]:
+    """The fields == compares on a dataclass or on a value class with
+    __slots__ (whose private slots are derived); none for anything else."""
     if dataclasses.is_dataclass(a):
+        return [f.name for f in dataclasses.fields(a) if f.compare]
+    return [name for name in getattr(type(a), "__slots__", ()) if not name.startswith("_")]
+
+
+def assert_close(a, b, where="system"):
+    if fields := compared_fields(a):
         assert type(a) is type(b), where
-        for f in dataclasses.fields(a):
-            if f.compare:
-                assert_close(getattr(a, f.name), getattr(b, f.name), f"{where}.{f.name}")
+        for name in fields:
+            assert_close(getattr(a, name), getattr(b, name), f"{where}.{name}")
     elif isinstance(a, tuple):
         assert len(a) == len(b), where
         for i, (x, y) in enumerate(zip(a, b)):

@@ -130,17 +130,15 @@ def test_mean_displacement_identical_poses():
 
 
 def test_mean_displacement_translation():
-    from dataclasses import replace
     pose = posture(kpa_to_pa(20.0), CFG)
-    moved = replace(pose, marks=tuple((x + 1e-3, y) for x, y in pose.marks))
+    moved = pose._replace(marks=tuple((x + 1e-3, y) for x, y in pose.marks))
     assert mean_displacement(pose, moved) == pytest.approx(1e-3, rel=1e-12)
 
 
 def test_mean_displacement_arithmetic_mean():
-    from dataclasses import replace
     pose = posture(0.0, CFG)
     shifts = np.arange(1.0, 9.0) * 1e-3    # marks 1..8 move 1..8 mm
-    moved = replace(pose, marks=tuple((x, y + d) for (x, y), d in zip(pose.marks, shifts)))
+    moved = pose._replace(marks=tuple((x, y + d) for (x, y), d in zip(pose.marks, shifts)))
     assert mean_displacement(pose, moved) == pytest.approx(4.5e-3, rel=1e-12)
 
 

@@ -10,8 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import flowhand.scenario as scenario_module
-from flowhand.config import ConfigError, _number, apply_override, load_system
-from flowhand.core import lpm_to_m3s, m3s_to_lpm
+from flowhand.config import ConfigError, _float, apply_override, load_system
+from flowhand.core import LPM_PER_M3S, lpm_to_m3s, m3s_to_lpm
 from flowhand.fcs import FcsState
 from flowhand.finger import FingerConfig
 from flowhand.scenario import (
@@ -144,8 +144,8 @@ def per_segment_load(raw: dict) -> Scenario:
             raise ConfigError(f"{path}.event: unknown event {event!r}; know {EVENTS}")
         try:
             segments.append(Segment(
-                duration=_number(seg["duration_s"], f"{path}.duration_s"),
-                q_src=lpm_to_m3s(_number(seg["q_src_lpm"], f"{path}.q_src_lpm")),
+                duration=_float(seg["duration_s"], f"{path}.duration_s"),
+                q_src=_float(seg["q_src_lpm"], f"{path}.q_src_lpm") / LPM_PER_M3S,
                 event=event,
             ))
         except ValueError as exc:
@@ -556,7 +556,7 @@ def test_design_report_gates_relative_tolerance():
     # 0.9 is within 1 L/min of 0.5, but 80 % off
     report = DesignReport(targets=targets, achieved=(0.9, 100.0, 30.0))
     assert not report.within_tolerance()
-    assert replace(report, achieved=(0.5, 100.0, 30.0)).within_tolerance()
+    assert report._replace(achieved=(0.5, 100.0, 30.0)).within_tolerance()
 
 
 def test_design_search_infeasible_order():
