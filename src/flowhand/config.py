@@ -15,7 +15,9 @@ nothing else: an injector key such as h_t_mm or rho_lub keeps the
 reference orifice, which design-search re-sizes.
 
 Unknown sections or keys are errors carrying the dotted path; silent
-ignores would let a typo masquerade as a tuned parameter.
+ignores would let a typo masquerade as a tuned parameter.  For the same
+reason read_json rejects a key given twice in one object, in config and
+scenario files alike, where the parser alone would keep the last value.
 """
 
 from __future__ import annotations
@@ -178,20 +180,32 @@ SCHEMA: dict[str, frozenset[str]] = {
     section: frozenset(rows) for section, rows in _TABLE.items()}
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's pairs as a dict; a key given twice is a ValueError."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"key {key!r} appears twice in one object")
+            seen.add(key)
+    return obj
+
+
 def read_json(source: dict | str | Path) -> dict:
     """The parsed top-level object; accepts a dict, a path, or JSON text paths."""
     if isinstance(source, dict):
         return source
     path = Path(source)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        raw = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
-    except ValueError as exc:  # an integer literal past the int-conversion limit
+    except ValueError as exc:  # a repeated key, or an integer past the int-conversion limit
         raise ConfigError(f"{path}: cannot parse: {exc}") from exc
     except RecursionError:
         raise ConfigError(f"{path}: cannot parse: arrays or objects nested "

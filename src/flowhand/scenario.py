@@ -11,8 +11,11 @@ segment that covers no sample is rejected.
 
 So a trace stores one SegmentRun per segment, the segment's outputs
 plus the range of timesteps it covers, and never one object per step.
-SimTrace.to_csv expands the rows while it writes them, formatting each
-distinct set of constant columns once.
+SimTrace.to_csv expands the rows while it writes them, at most
+_WRITE_ROWS lines per write, formatting each distinct set of constant
+columns once.  Its time column repeats too: for a short decimal
+timestep of at most 0.1 s, such as 0.01, the times are whole seconds
+joined to a table of fractional suffixes, not a float formatted per row.
 
 And since the hand has one input, a scenario of thousands of segments
 repeats a few segments and reuses a few operating points: load_scenario
@@ -34,9 +37,12 @@ prototype-table validation report.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import replace
-from typing import NamedTuple
+from functools import cache
+from itertools import chain, count, islice
+from typing import Iterator, NamedTuple
 
 from .config import ConfigError, _float, _number, apply_override, read_json
 from .core import (
@@ -339,10 +345,44 @@ class SegmentRun(NamedTuple):
     event: str | None
 
 
-# a CSV row is "%.6g" % t plus this tail of its run's columns
+# a CSV row is its time text plus this tail of its run's columns
 _ROW_TAIL = ",{:.6g},{:.6g},{:.6g},{:.6g},{},{:.6g},{:.6g},{:.6g},{},{}\n".format
-# rows gathered before a streamed to_csv writes them out
+# the most lines a streamed to_csv holds before it writes them out
 _WRITE_ROWS = 4096
+
+
+@cache
+def _suffixes(e: int) -> tuple[str, ...]:
+    """The fractional part of f / 10**e as %g prints it, for f < 10**e:
+    "", ".01", ..., ".99" for e = 2.  Built on first use, once per e."""
+    return ("",) + tuple("." + ("%0*d" % (e, f)).rstrip("0") for f in range(1, 10 ** e))
+
+
+def _time_texts(dt: float) -> Iterator[str]:
+    """The time column: "%.6g" % (k * dt) for k = 0, 1, 2, ..., endlessly.
+
+    When repr(dt) is "0." and at most 4 digits, dt is the double nearest
+    m / 10**e with e <= 4, and if it is at most 0.1, a whole second holds
+    10 or more steps.  Then, while k * m < 10**6, the texts come from a
+    table: each whole second's block of times is its digits plus the
+    _suffixes(e) it takes.  That is exact.  The decimal k * m / 10**e has
+    at most 6 significant digits, and the float k * dt is within 2**-52
+    relative of it, far inside the 5e-7 relative half-unit of %.6g's
+    rounding, so %.6g prints the decimal; and 10**-4 <= t < 10**6 for
+    k > 0, so %g keeps fixed notation and strips the trailing zeros.
+    Past that, and for every other dt, each time is formatted: a block
+    of fewer than about 5 steps costs more than formatting them.
+    """
+    text = repr(dt)
+    table, k = (), 0
+    if text[:2] == "0." and text[2:].isdigit() and len(text) <= 6 and dt <= 0.1:
+        m, e = int(text[2:]), len(text) - 2
+        scale, suffixes = 10 ** e, _suffixes(e)
+        # second s starts at the first k * m at or after s * scale
+        table = chain.from_iterable(map(str(s).__add__, suffixes[-s * scale % m::m])
+                                    for s in range(1_000_000 // scale))
+        k = -(-1_000_000 // m)
+    return chain(table, map("%.6g".__mod__, map(dt.__mul__, count(k))))
 
 
 class SimTrace(NamedTuple):
@@ -372,20 +412,23 @@ class SimTrace(NamedTuple):
     def to_csv(self, out=None) -> str | None:
         """The trace as CSV, one row per step.
 
-        A row is the formatted time plus a tail of the run's constant
-        columns, and each distinct tail is formatted once per call.  The
-        time is written as "%.6g" % t, which gives the same text as
-        format(t, ".6g") for every float without parsing a format spec
-        per row.
-        Equal fields give equal text except 0.0 and -0.0, and
-        run_scenario stores no -0.0: Segment and the calibration curves
-        drop the sign of zero.  Given a text file, the rows are written
-        to it as they are made and None is returned; otherwise the text
-        is.
+        A row is the time text plus a tail of the run's constant
+        columns.  Each distinct tail is formatted once per call, and the
+        times come from _time_texts in step order, so a run of n rows is
+        its n times joined by its tail.  Equal fields give equal text
+        except 0.0 and -0.0, and run_scenario stores no -0.0: Segment
+        and the calibration curves drop the sign of zero.
+
+        Given a text file, the rows are written to it as they are made,
+        at most _WRITE_ROWS lines per write however long a run is, so
+        memory does not grow with the row count, and None is returned.
+        Otherwise the text is.
         """
-        dt = self.timestep
+        sink = io.StringIO() if out is None else out
         low = FrictionState.LOW
+        times = _time_texts(self.timestep)
         rows = [CSV_HEADER + "\n"]
+        room = _WRITE_ROWS - 1          # lines the buffer takes before a write
         # the fields of a tail, run[2:12] -> the tail, in one table per
         # friction regime, HIGH or LOW, so that no key holds a
         # FrictionState, whose hash runs in Python
@@ -400,18 +443,24 @@ class SimTrace(NamedTuple):
                     m3s_to_lpm(run.q_exhaust), run.state.name, pa_to_kpa(run.p_f),
                     m_to_mm(run.r), run.f_tip, "1" if run.injection else "0",
                     run.friction.value)
-            first, stop = run.first, run.stop
-            if stop - first == 1:
-                rows.append("%.6g" % (first * dt) + tail)
+            n = run.stop - run.first
+            if n == 1:
+                rows.append(next(times) + tail)
             else:
-                rows += ["%.6g" % (k * dt) + tail for k in range(first, stop)]
-            if out is not None and len(rows) >= _WRITE_ROWS:
-                out.write("".join(rows))
+                while n > room:         # fill the buffer and write it out
+                    rows.append(tail.join(islice(times, room)) + tail)
+                    sink.write("".join(rows))
+                    rows.clear()
+                    n -= room
+                    room = _WRITE_ROWS
+                rows.append(tail.join(islice(times, n)) + tail)
+            room -= n
+            if not room:
+                sink.write("".join(rows))
                 rows.clear()
-        if out is None:
-            return "".join(rows)
-        out.write("".join(rows))
-        return None
+                room = _WRITE_ROWS
+        sink.write("".join(rows))
+        return sink.getvalue() if out is None else None
 
 
 def _step_stop(first: int, end: float, dt: float) -> int:
@@ -422,6 +471,8 @@ def _step_stop(first: int, end: float, dt: float) -> int:
     ceiling lands within one step of it and the float products settle it.
     """
     edge = end - _EPS
+    if edge <= first * dt:     # also where edge / dt is -inf for a subnormal dt
+        return first
     k = math.ceil(edge / dt)
     while k * dt < edge:
         k += 1

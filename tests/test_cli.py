@@ -184,6 +184,37 @@ def test_simulate_unsampled_or_runaway_scenario_exits_1(segments, message, tmp_p
     assert message in captured.err
 
 
+def test_subnormal_timestep_exits_1(tmp_path, capsys):
+    # (end - _EPS) / dt is -inf here, which no ceiling turns into a step
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"timestep_s": 5e-324, "segments": [
+        {"duration_s": 1e-323, "q_src_lpm": 10}]}))
+    assert main(["simulate", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "segment 0 (t=0 s" in captured.err and "covers no sample" in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv, text, key", [
+    (["validate", "--config"], '{"fcs": {"alpha": 0.5, "alpha": 0.9831}}', "alpha"),
+    (["simulate"], '{"segments": [{"duration_s": 1, "q_src_lpm": 10, "q_src_lpm": 20}]}',
+     "q_src_lpm"),
+    (["simulate"], '{"segments": [{"duration_s": 1, "q_src_lpm": 10}], "scene": '
+     '{"object_width_mm": 50, "object_mass_kg": 0.1, "object_width_mm": 60}}',
+     "object_width_mm"),
+], ids=["config", "segment", "scene"])
+def test_duplicate_key_exits_1(argv, text, key, tmp_path, capsys):
+    # the parser alone keeps the last value without a word
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    assert main([*argv, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"config error: {path}: cannot parse: key '{key}' appears twice" in captured.err
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("path", [
     "fcs.s3_mm2", "fcs.exhaust_port_mm2", "venturi.s_in_mm2", "venturi.s_out_mm2",
     "venturi.s_t_mm2", "venturi.s_src_mm2", "venturi.s_e_mm2", "venturi.h_t_mm",

@@ -12,6 +12,7 @@ the CSV.
 import io
 import math
 from dataclasses import replace
+from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,8 +25,10 @@ from flowhand.fcs import FcsState, steady_outputs
 from flowhand.finger import FingerConfig, bending_radius, chamber_pressure, tip_force
 from flowhand.scenario import (
     _EPS,
+    _WRITE_ROWS,
     CSV_HEADER,
     EVENTS,
+    MAX_ROWS,
     Scenario,
     Segment,
     SegmentRun,
@@ -33,6 +36,7 @@ from flowhand.scenario import (
     SimulationError,
     _run_event,
     _step_stop,
+    _time_texts,
     load_scenario,
     run_scenario,
 )
@@ -159,18 +163,24 @@ def test_runs_cover_every_step_in_order():
 
 
 def test_streamed_csv_flushes_long_traces_whole():
-    # more rows than one write holds, so the rows leave in several writes
-    writes = []
+    # more rows than one write holds, so the rows leave in several
+    # writes, none of them holding more than _WRITE_ROWS lines, even
+    # when a single run covers all 150k rows
+    for segments in ((Segment(100.0, lpm_to_m3s(50.0)), Segment(0.01, lpm_to_m3s(150.0))),
+                     (Segment(1500.0, lpm_to_m3s(50.0)),)):
+        writes = []
 
-    class Sink:
-        def write(self, text):
-            writes.append(text)
+        class Sink:
+            def write(self, text):
+                writes.append(text)
 
-    trace = run_scenario(Scenario("long", (Segment(100.0, lpm_to_m3s(50.0)),
-                                           Segment(0.01, lpm_to_m3s(150.0)))))
-    trace.to_csv(Sink())
-    assert len(writes) > 1
-    assert "".join(writes) == trace.to_csv()
+        trace = run_scenario(Scenario("long", segments))
+        trace.to_csv(Sink())
+        lines = [text.count("\n") for text in writes]
+        assert len(lines) > 1
+        assert max(lines) <= _WRITE_ROWS
+        assert sum(lines) == 1 + trace.runs[-1].stop
+        assert "".join(writes) == trace.to_csv()
 
 
 def held_scenario(dt: float, runs) -> Scenario:
@@ -179,7 +189,8 @@ def held_scenario(dt: float, runs) -> Scenario:
 
 
 @oracle
-@given(dt=st.floats(1e-5, 10.0) | st.integers(1, 1000).map(float),
+@given(dt=st.floats(1e-5, 10.0) | st.integers(1, 1000).map(float)
+       | st.builds(lambda m, e: m / 10 ** e, st.integers(1, 10_000), st.integers(0, 4)),
        runs=st.lists(st.tuples(st.sampled_from((1, 1, 2)) | st.integers(1, 6000),
                                st.sampled_from(COMMANDS)), min_size=1, max_size=8))
 @example(dt=1000.0, runs=[(2000, 30.0)])
@@ -195,6 +206,52 @@ def test_percent_formatted_times_match_format(dt, runs):
     streamed = io.StringIO()
     assert trace.to_csv(streamed) is None
     assert streamed.getvalue().splitlines(True) == text.splitlines(True)
+
+
+def test_time_table_matches_format_at_every_step():
+    dt = 0.01
+    texts = _time_texts(dt)
+    for lo in range(0, MAX_ROWS + 1, 100_000):
+        hi = min(lo + 100_000, MAX_ROWS + 1)
+        assert list(islice(texts, hi - lo)) == ["%.6g" % (k * dt) for k in range(lo, hi)], lo
+
+
+def windows(dt: float) -> list[tuple[int, int]]:
+    """Steps within 2000 of each power of ten of the time and of
+    k * m = 10**6 for dt = m / 10**e, where a table stops, and none past
+    that, where the texts are the oracle's own; up to MAX_ROWS for a dt
+    of more than 4 fractional digits.  Merged, in order."""
+    centres = [round(10.0 ** p / dt) for p in range(-4, 10)]
+    last = MAX_ROWS
+    for e in range(5):           # dt = m / 10**e
+        m = round(dt * 10 ** e, 6)
+        if m.is_integer():
+            last = -(-10 ** 6 // int(m)) + 2000
+            centres.append(last - 2000)
+            break
+    out: list[tuple[int, int]] = []
+    for c in sorted(centres):
+        lo, hi = max(0, c - 2000), min(last, c + 2000) + 1
+        if lo >= hi:
+            continue
+        if out and lo <= out[-1][1]:
+            out[-1] = (out[-1][0], max(out[-1][1], hi))
+        else:
+            out.append((lo, hi))
+    return out
+
+
+# short decimals up to 0.1, which take the table up to k * m = 10**6;
+# then longer steps, 5 fractional digits and exponent form, which never do
+@pytest.mark.parametrize("dt", [0.001, 0.005, 0.03, 0.033, 0.1, 0.0001, 0.0003,
+                                0.25, 1.0, 1.1, 2.5, 123.0, 0.00123, 1e-05])
+def test_time_table_matches_format_near_its_edges(dt):
+    texts = _time_texts(dt)
+    at = 0
+    for lo, hi in windows(dt):
+        got = list(islice(texts, lo - at, hi - at))
+        assert got == ["%.6g" % (k * dt) for k in range(lo, hi)], (dt, lo, hi)
+        at = hi
 
 
 @pytest.mark.parametrize("dt, runs, time", [
