@@ -70,9 +70,11 @@ def _warn(lines) -> None:
 def _cmd_simulate(args) -> int:
     system = load_system(args.config)
     if args.config:
-        # a blocking curve the pinch force crosses more than once is a
-        # ConfigError here as in sweep, validate and design-search
+        # a blocking curve the pinch force crosses more than once, or a
+        # full inlet that stops the injection again, is a ConfigError
+        # here as in sweep and validate
         state_thresholds(system.fcs, system.consts)
+        activation_threshold(system.venturi, system.fcs, system.consts)
     scenario, scene = load_scenario(args.scenario)
     _warn(scenario.warnings())
     trace = run_scenario(scenario, system, scene)

@@ -29,6 +29,7 @@ from pathlib import Path
 from typing import Any
 
 from .core import (
+    ConfigError,
     PhysConstants,
     PiecewiseLinearCurve,
     kpa_to_pa,
@@ -41,10 +42,6 @@ from .core import (
 )
 from .fcs import calibrate_f_rot
 from .system import SystemConfig, default_system
-
-
-class ConfigError(Exception):
-    """Invalid config or scenario content; message carries the key path."""
 
 
 def _float(value: Any, path: str) -> float:

@@ -1,4 +1,5 @@
-"""Shared units, physical constants, and calibration-curve support.
+"""Shared units, physical constants, calibration curves, and the base of
+the checked value classes.
 
 Canonical units are SI throughout the package: volumetric flow in m^3/s,
 pressure in Pa (gauge unless noted absolute), force in N, area in m^2,
@@ -67,7 +68,49 @@ def pa_to_kpa(p_pa: float) -> float:
     return p_pa * 1e-3
 
 
-class PhysConstants:
+class ConfigError(Exception):
+    """Invalid config or scenario content; message carries the key path."""
+
+
+class _Value:
+    """Base of the checked, immutable value classes.
+
+    A subclass lists its fields in __slots__; the public ones, in order,
+    are also its __init__ arguments, and its __init__ checks them and
+    sets each with object.__setattr__.  From those public fields this
+    base derives the rest: assigning or deleting a field raises
+    AttributeError, __reduce__ is the call that rebuilds the value (so
+    pickle and copy run the checks too), and ==, hash and repr go by
+    the same fields.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(n for n in cls.__slots__ if not n.startswith("_"))
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(getattr(self, n) for n in self._fields)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.__reduce__() == other.__reduce__()
+
+    def __hash__(self) -> int:
+        return hash(self.__reduce__()[1])
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class PhysConstants(_Value):
     """Ambient constants shared by every model in the package.
 
     rho_air is the working-fluid density for a dry lab at room
@@ -88,29 +131,8 @@ class PhysConstants:
                 raise ValueError(f"{name} must be finite and strictly positive, got {value}")
             object.__setattr__(self, name, value)
 
-    def __setattr__(self, name: str, value=None) -> None:
-        raise AttributeError(f"PhysConstants is immutable: cannot set or delete {name!r}")
 
-    __delattr__ = __setattr__
-
-    # the call that rebuilds the value, so pickle and copy validate too;
-    # == and hash compare it
-    def __reduce__(self) -> tuple:
-        return PhysConstants, (self.rho_air, self.g, self.p_atm)
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not PhysConstants:
-            return NotImplemented
-        return self.__reduce__() == other.__reduce__()
-
-    def __hash__(self) -> int:
-        return hash(self.__reduce__())
-
-    def __repr__(self) -> str:
-        return f"PhysConstants(rho_air={self.rho_air!r}, g={self.g!r}, p_atm={self.p_atm!r})"
-
-
-class PiecewiseLinearCurve:
+class PiecewiseLinearCurve(_Value):
     """Piecewise-linear curve through (x, y) knots, x strictly increasing.
 
     Evaluation at a knot returns its y exactly.  Between knots the value
@@ -142,25 +164,6 @@ class PiecewiseLinearCurve:
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "_xs", xs)
         object.__setattr__(self, "_ys", ys)
-
-    def __setattr__(self, name: str, value=None) -> None:
-        raise AttributeError(f"PiecewiseLinearCurve is immutable: cannot set or delete {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self) -> tuple:
-        return PiecewiseLinearCurve, (self.knots,)
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not PiecewiseLinearCurve:
-            return NotImplemented
-        return self.knots == other.knots
-
-    def __hash__(self) -> int:
-        return hash(self.knots)
-
-    def __repr__(self) -> str:
-        return f"PiecewiseLinearCurve(knots={self.knots!r})"
 
     def __call__(self, x: float) -> float:
         xs, ys = self._xs, self._ys

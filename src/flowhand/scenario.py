@@ -48,6 +48,7 @@ from .config import ConfigError, _float, _number, apply_override, read_json
 from .core import (
     LPM_PER_M3S,
     PhysConstants,
+    _Value,
     lpm_to_m3s,
     m3s_to_lpm,
     m_to_mm,
@@ -98,7 +99,7 @@ EVENTS = ("grasp", "lift", "place", "pivot")
 
 CSV_HEADER = "t,q_src_lpm,q1_lpm,q2_lpm,q_exhaust_lpm,state,p_f_kpa,r_mm,f_tip_n,injection,friction"
 
-_EPS = 1e-9
+_EPS = 1e-7     # of a timestep, so 1e-9 s at dt = 0.01 s
 STATE_CEILING = lpm_to_m3s(150.0)    # supply ceiling for the state flips
 # closed-form thresholds land on target to rounding; a 1 L/min gate alone
 # would pass a 0.5 L/min target at twice its value
@@ -115,7 +116,7 @@ class SimulationError(RuntimeError):
     """A non-finite value appeared in the trace; carries where and what."""
 
 
-class Segment:
+class Segment(_Value):
     """One piecewise-constant command: hold q_src for duration seconds.
 
     duration [s] is finite and > 0, q_src [m^3/s] finite and >= 0, and
@@ -139,29 +140,8 @@ class Segment:
         object.__setattr__(self, "q_src", q_src or 0.0)
         object.__setattr__(self, "event", event)
 
-    def __setattr__(self, name: str, value=None) -> None:
-        raise AttributeError(f"Segment is immutable: cannot set or delete {name!r}")
 
-    __delattr__ = __setattr__
-
-    # the call that rebuilds the value, so pickle and copy validate too;
-    # == and hash compare it
-    def __reduce__(self) -> tuple:
-        return Segment, (self.duration, self.q_src, self.event)
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not Segment:
-            return NotImplemented
-        return self.__reduce__() == other.__reduce__()
-
-    def __hash__(self) -> int:
-        return hash(self.__reduce__())
-
-    def __repr__(self) -> str:
-        return f"Segment(duration={self.duration!r}, q_src={self.q_src!r}, event={self.event!r})"
-
-
-class Scenario:
+class Scenario(_Value):
     """Named segments, sampled every timestep seconds.
 
     At least one segment, a finite timestep > 0, and at most MAX_ROWS
@@ -183,26 +163,6 @@ class Scenario:
         if duration / timestep > MAX_ROWS:
             raise ValueError(f"{duration:g} s at timestep {timestep:g} s is "
                              f"{duration / timestep:.4g} rows, over the cap of {MAX_ROWS}")
-
-    def __setattr__(self, name: str, value=None) -> None:
-        raise AttributeError(f"Scenario is immutable: cannot set or delete {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self) -> tuple:
-        return Scenario, (self.name, self.segments, self.timestep)
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not Scenario:
-            return NotImplemented
-        return self.__reduce__() == other.__reduce__()
-
-    def __hash__(self) -> int:
-        return hash(self.__reduce__())
-
-    def __repr__(self) -> str:
-        return (f"Scenario(name={self.name!r}, segments={self.segments!r}, "
-                f"timestep={self.timestep!r})")
 
     def duration(self) -> float:
         return sum(seg.duration for seg in self.segments)
@@ -466,12 +426,14 @@ class SimTrace(NamedTuple):
 def _step_stop(first: int, end: float, dt: float) -> int:
     """The step after the last one of a segment that ends at `end`.
 
-    The smallest k >= first with k * dt >= end - _EPS, which is where
-    stepping `while k * dt < end - _EPS: k += 1` from `first` stops; the
-    ceiling lands within one step of it and the float products settle it.
+    The smallest k >= first with k * dt >= end - _EPS * dt, which is
+    where stepping `while k * dt < end - _EPS * dt: k += 1` from `first`
+    stops; the ceiling lands within one step of it and the float
+    products settle it.  The tolerance is relative to the timestep, so
+    a segment keeps its steps however small dt is.
     """
-    edge = end - _EPS
-    if edge <= first * dt:     # also where edge / dt is -inf for a subnormal dt
+    edge = end - _EPS * dt
+    if edge <= first * dt:
         return first
     k = math.ceil(edge / dt)
     while k * dt < edge:
@@ -739,14 +701,14 @@ def design_search(
     Keeps the base split ratio, lever arm ratio, and blocking curve;
     solves the four free parameters in closed form, then reads the
     thresholds back from the tuned config and gates them on the absolute
-    and the relative tolerance.  Raises InfeasibleDesignError naming the
+    and the relative tolerance.  Under the full inlet model the orifice
+    is sized with the source flow equal to the q2 target, as
+    q2_activation_threshold reads it back; the composed activation need
+    not then sit at q_bc.  Raises InfeasibleDesignError naming the
     binding constraint when no setting can work, and ConfigError for a
-    non-finite target or a base config with the full inlet model.
+    non-finite target.
     """
     base = system or default_system()
-    if not base.venturi.use_simplified_inlet:
-        raise ConfigError("venturi.use_simplified_inlet: design-search sizes the orifice "
-                          "under the simplified inlet only; set it to true")
     consts = base.consts
     fcs = base.fcs
     q_ab, q_bc, q2_act = (targets.q_ab_lpm, targets.q_bc_lpm,

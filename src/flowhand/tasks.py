@@ -23,7 +23,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .core import PhysConstants
+from .core import PhysConstants, _Value
 
 
 class FrictionState(enum.Enum):
@@ -76,7 +76,7 @@ class HandConfig:
         return self.mu_high if state is FrictionState.HIGH else self.mu_low
 
 
-class GraspScene:
+class GraspScene(_Value):
     """Object under the hand: width [m], finite and > 0, and mass [kg],
     finite and >= 0.
 
@@ -93,27 +93,6 @@ class GraspScene:
             raise ValueError(f"object_mass must be finite and >= 0, got {object_mass}")
         object.__setattr__(self, "object_width", object_width)
         object.__setattr__(self, "object_mass", object_mass)
-
-    def __setattr__(self, name: str, value=None) -> None:
-        raise AttributeError(f"GraspScene is immutable: cannot set or delete {name!r}")
-
-    __delattr__ = __setattr__
-
-    # the call that rebuilds the value, so pickle and copy validate too;
-    # == and hash compare it
-    def __reduce__(self) -> tuple:
-        return GraspScene, (self.object_width, self.object_mass)
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not GraspScene:
-            return NotImplemented
-        return self.__reduce__() == other.__reduce__()
-
-    def __hash__(self) -> int:
-        return hash(self.__reduce__())
-
-    def __repr__(self) -> str:
-        return f"GraspScene(object_width={self.object_width!r}, object_mass={self.object_mass!r})"
 
 
 def payload(f_tip: float, cfg: HandConfig, mu: float) -> float:

@@ -14,15 +14,24 @@ column settles at the hydrostatic balance height
 
 and injection starts once h_l exceeds the tube's crest height h_t.  The
 hand approaches its targets pointing down, so h_t is a fixed geometric
-height.
+height.  Without flow in the injection line (q2 = 0, state A, where the
+lever holds the line closed) there is no column and no injection.
 
 Two inlet-pressure models are available.  The default treats the wide
 section as vented, p_in = 0 gauge.  The full source-balance model adds
 the Bernoulli terms from the air source and the exhaust outlet and
 needs s_src, s_e and p_src to be configured.
 
-The onset and the orifice size invert dp(q2) = rho_lub * g * h_t + p_in
-in closed form; only the full model's onset is bisected.
+The onset and the orifice size are closed forms under both models.  On
+a line that carries q2 = c * q_src, the margin dp - p_in - rho_lub*g*h_t
+is K q_src^2 - P, where
+
+    K = rho_air/2 * (c^2/s_out_eff^2 - 1/s_src^2 + (1-c)^2/s_e^2)
+    P = rho_lub*g*h_t + p_src - p_atm
+
+for the full model, and K = rho_air/2 * c^2 * (1/s_out_eff^2 - 1/s_in^2),
+P = rho_lub*g*h_t for the vented one.  So injection starts at
+sqrt(P/K), and under the full model a negative K can stop it again.
 
 All inputs are SI (flows m^3/s, areas m^2, pressures Pa gauge unless
 noted absolute).
@@ -33,11 +42,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import PhysConstants, lpm_to_m3s
-from .fcs import FcsConfig, lever_flip_flow, steady_outputs
+from .core import ConfigError, PhysConstants, lpm_to_m3s, m3s_to_lpm
+from .fcs import FcsConfig, lever_flip_flow
 
-ONSET_RESOLUTION = lpm_to_m3s(0.01)     # bisection step of the full inlet model
-ACTIVATION_CEILING = lpm_to_m3s(200.0)  # highest source flow activation_threshold tries
+ACTIVATION_CEILING = lpm_to_m3s(200.0)  # highest source flow activation_threshold reports
+Q2_CEILING = lpm_to_m3s(100.0)          # highest q2 onset q2_activation_threshold reports
 
 
 class InfeasibleDesignError(ValueError):
@@ -166,112 +175,105 @@ def effective_orifice_area(cfg: VenturiConfig) -> float:
 
 
 def lubricant_column(q_src: float, q2: float, cfg: VenturiConfig, consts: PhysConstants) -> float:
-    """Column height for an injection-line flow q2 at source flow q_src [m]."""
+    """Column height for an injection-line flow q2 at source flow q_src [m].
+
+    0 when q2 is 0: the lever then holds the injection line closed, so
+    no inlet pressure reaches the tube.
+    """
     delta_p = orifice_pressure_drop(q2, cfg.s_in, effective_orifice_area(cfg), consts.rho_air)
     p_in = inlet_pressure(q_src, q2, cfg, consts)
-    return lubricant_rise(p_in, delta_p, cfg.rho_lub, consts.g)
+    return lubricant_rise(p_in, delta_p, cfg.rho_lub, consts.g) if q2 > 0.0 else 0.0
 
 
-def q2_activation_threshold(
-    cfg: VenturiConfig,
-    consts: PhysConstants,
-    q2_max: float = lpm_to_m3s(100.0),
-    resolution: float = ONSET_RESOLUTION,
-) -> float | None:
+def _balance_pressure(cfg: VenturiConfig, consts: PhysConstants) -> float:
+    """P: the column head plus, under the full inlet, the source's gauge
+    pressure [Pa]."""
+    p = cfg.rho_lub * consts.g * cfg.h_t
+    return p if cfg.use_simplified_inlet else p + cfg.p_src - consts.p_atm
+
+
+def _onset(cfg: VenturiConfig, consts: PhysConstants, c: float, lo: float) -> float | None:
+    """First source flow q >= lo at which the injection line, carrying
+    q2 = c q, lifts the column over the crest [m^3/s]; None if none does.
+
+    The margin is K q^2 - P (module docstring).  A negative K with the
+    margin positive at lo means injection stops again above lo, so it is
+    not monotone in the source flow: a ConfigError.
+    """
+    inv_out = 1.0 / effective_orifice_area(cfg) ** 2
+    if cfg.use_simplified_inlet:
+        k = c * c * (inv_out - 1.0 / cfg.s_in ** 2)
+    else:
+        k = c * c * inv_out - 1.0 / cfg.s_src ** 2 + (1.0 - c) ** 2 / cfg.s_e ** 2
+    k *= consts.rho_air / 2.0
+    p = _balance_pressure(cfg, consts)
+    if k > 0.0:
+        return lo if p <= 0.0 else max(lo, math.sqrt(p / k))
+    if p >= 0.0:
+        return None
+    if k == 0.0:
+        return lo
+    if k * lo * lo > p:
+        raise ConfigError(
+            f"venturi: the full inlet stops the injection again at "
+            f"{m3s_to_lpm(math.sqrt(p / k)):.6g} L/min, so it is not monotone in the source flow")
+    return None
+
+
+def q2_activation_threshold(cfg: VenturiConfig, consts: PhysConstants,
+                            resolution: float | None = None) -> float | None:
     """Smallest injection-line flow that starts the injection [m^3/s].
 
-    Closed form under the simplified inlet.  The full inlet model
-    bisects the monotone active/inactive boundary to within
-    `resolution`, with the source flow taken equal to q2 (the worst
-    case).  None if still inactive at q2_max.
+    The source flow is taken equal to q2, so the whole source feeds the
+    injection line (c = 1, no exhaust flow).  Closed form under both
+    inlet models; None if the onset is above Q2_CEILING, ConfigError if
+    the full inlet stops the injection again.  `resolution` is accepted
+    and ignored: nothing is searched.
     """
-    if cfg.use_simplified_inlet:
-        # dp(q2) = rho_lub g h_t solved for q2
-        inv_sq = 1.0 / effective_orifice_area(cfg) ** 2 - 1.0 / cfg.s_in ** 2
-        q2_on = math.sqrt(2.0 * cfg.rho_lub * consts.g * cfg.h_t
-                          / (consts.rho_air * inv_sq))
-        return q2_on if q2_on <= q2_max else None
-
-    def active(q2: float) -> bool:
-        h_l = lubricant_column(q2, q2, cfg, consts)
-        return injection_active(h_l, cfg.h_t)
-
-    return bisect_onset(active, 0.0, q2_max, resolution)
+    q2_on = _onset(cfg, consts, 1.0, 0.0)
+    return q2_on if q2_on is not None and q2_on <= Q2_CEILING else None
 
 
 def activation_threshold(cfg: VenturiConfig, fcs: FcsConfig, consts: PhysConstants) -> float | None:
     """Smallest source flow at which the composed system injects [m^3/s].
 
-    Once the lever flips, the injection line carries gamma alpha q_src,
-    so under the simplified inlet the onset is max(q_ab, q2_on / (gamma
-    alpha)).  The full inlet model bisects the (assumed monotone)
-    active/inactive boundary to within ONSET_RESOLUTION.  None ("never
-    activates") if the system is still inactive at ACTIVATION_CEILING.
+    The injection line stays closed until the lever flips at q_ab; from
+    there it carries gamma alpha q_src, so the onset is the closed form
+    for c = gamma alpha above q_ab: under the simplified inlet,
+    max(q_ab, q2_on / (gamma alpha)).  None ("never activates") if the
+    onset is above ACTIVATION_CEILING, ConfigError if the full inlet
+    stops the injection again.
     """
-    if cfg.use_simplified_inlet:
-        q2_on = q2_activation_threshold(cfg, consts, q2_max=math.inf)
-        onset = max(lever_flip_flow(fcs, consts), q2_on / (fcs.gamma * fcs.alpha))
-        return onset if onset <= ACTIVATION_CEILING else None
-
-    def active(q_src: float) -> bool:
-        out = steady_outputs(q_src, fcs, consts)
-        h_l = lubricant_column(q_src, out.q2, cfg, consts)
-        return injection_active(h_l, cfg.h_t)
-
-    return bisect_onset(active, 0.0, ACTIVATION_CEILING, ONSET_RESOLUTION)
+    onset = _onset(cfg, consts, fcs.gamma * fcs.alpha, lever_flip_flow(fcs, consts))
+    return onset if onset is not None and onset <= ACTIVATION_CEILING else None
 
 
-def bisect_onset(active, lo: float, hi: float, resolution: float) -> float | None:
-    """First point of a monotone False -> True predicate, within resolution."""
-    if active(lo):
-        return lo
-    if not active(hi):
-        return None
-    while hi - lo > resolution:
-        mid = 0.5 * (lo + hi)
-        if active(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def size_orifice(
-    target_q2: float,
-    cfg: VenturiConfig,
-    consts: PhysConstants,
-    q_src: float | None = None,
-) -> float:
+def size_orifice(target_q2: float, cfg: VenturiConfig, consts: PhysConstants) -> float:
     """Orifice area that puts the injection onset exactly at target_q2 [m^2].
 
-    Shrinking the orifice raises the suction at a given flow, so the
-    area solves dp(target_q2) = rho_lub * g * h_t + p_in in closed form:
+    Shrinking the orifice raises the suction at a given flow.  The onset
+    solves K target_q2^2 = P with c = 1 (module docstring), so
 
-        1 / (c_d s_out)^2 = 2 suction / (rho q2^2) + 1 / s_in^2
+        1 / (c_d s_out)^2 = 2 P / (rho q2^2) + 1 / s_wide^2
 
-    With the full inlet model, p_in is evaluated at the supplied q_src
-    (required in that case).
+    where s_wide is s_in under the simplified inlet and s_src under the
+    full one, whose source flow is taken equal to target_q2, the
+    convention of q2_activation_threshold.
 
-    Raises InfeasibleDesignError when no s_out < s_in can reach the
-    balance: the needed suction is not positive, or is too small for
-    an orifice with this discharge coefficient.
+    Raises InfeasibleDesignError when no s_out < s_in can set the onset:
+    P is not positive, so the margin does not rise through zero there,
+    or the orifice would have to be at least as wide as the inlet.
     """
     if not target_q2 > 0:
         raise ValueError(f"target_q2 must be > 0, got {target_q2}")
-    if cfg.use_simplified_inlet:
-        p_in = 0.0
-    elif q_src is None:
-        raise ValueError("full inlet model: pass the source flow at the activation point")
-    else:
-        p_in = inlet_pressure(q_src, target_q2, cfg, consts)
-
-    suction_needed = cfg.rho_lub * consts.g * cfg.h_t + p_in
+    p = _balance_pressure(cfg, consts)
+    wide = cfg.s_in if cfg.use_simplified_inlet else cfg.s_src
     # a target_q2 whose square underflows needs an orifice of no area
-    if suction_needed > 0 and (flow_sq := consts.rho_air * target_q2 ** 2) > 0:
-        inv_sq = 2.0 * suction_needed / flow_sq + 1.0 / cfg.s_in ** 2
+    if p > 0 and (flow_sq := consts.rho_air * target_q2 ** 2) > 0:
+        inv_sq = 2.0 * p / flow_sq + 1.0 / wide ** 2
         s_out = 1.0 / (cfg.discharge_coeff * math.sqrt(inv_sq))
         if 0.0 < s_out < cfg.s_in:
             return s_out
     raise InfeasibleDesignError(
         "no orifice narrower than the inlet can set this onset "
-        f"(balance pressure {suction_needed:.6g} Pa)")
+        f"(balance pressure {p:.6g} Pa)")

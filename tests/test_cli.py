@@ -160,14 +160,73 @@ def test_simulate_rejects_non_monotone_blocking_curve(tmp_path, capsys):
 
 
 def test_design_search_full_inlet_exits_1(tmp_path, capsys):
+    # a source 1 kPa below ambient beats the column head on its own, so
+    # no orifice can set the onset
+    cfg = tmp_path / "full_inlet.json"
+    cfg.write_text(json.dumps({"venturi": {
+        "use_simplified_inlet": False, "p_src_kpa_abs": 100.325,
+        "s_src_mm2": 20, "s_e_mm2": 30}}))
+    assert main(["design-search", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "balance pressure -574.295 Pa" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_design_search_full_inlet_hits_targets(tmp_path, capsys):
+    # the orifice is sized with the source flow equal to the q2 target
     cfg = tmp_path / "full_inlet.json"
     cfg.write_text(json.dumps({"venturi": {
         "use_simplified_inlet": False, "p_src_kpa_abs": 101.4,
         "s_src_mm2": 20, "s_e_mm2": 30}}))
-    assert main(["design-search", "--config", str(cfg)]) == 1
-    err = capsys.readouterr().err
-    assert "venturi.use_simplified_inlet" in err
-    assert "Traceback" not in err
+    out = tmp_path / "tuned.json"
+    assert main(["design-search", "--config", str(cfg), "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == "achieved (L/min): q_ab 8.1, q_bc 118, q2 onset 44"
+    assert lines[2] == "within 1 L/min: yes"
+    assert json.loads(out.read_text())["venturi"]["use_simplified_inlet"] is False
+
+
+# the injection-line flows and onsets of a full inlet 162 Pa below ambient
+REPRO = {"venturi": {"use_simplified_inlet": False, "s_src_mm2": 35.77,
+                     "s_e_mm2": 6.113, "p_src_kpa_abs": 101.163}}
+# a narrow source 1 kPa below ambient: injection starts at the lever flip
+# and stops again at 11.3 L/min
+STOPS = {"venturi": {"use_simplified_inlet": False, "s_src_mm2": 6,
+                     "s_e_mm2": 40, "p_src_kpa_abs": 100.325}}
+
+
+def test_full_inlet_sweep_and_simulate_agree_on_the_onset(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(REPRO))
+    assert main(["sweep", "--param", "venturi.h_t_mm", "--values", "55",
+                 "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "venturi.h_t_mm,55,8.1,118,12.41"
+    path = tmp_path / "scenario.json"
+    flows = (7.9, 10.0, 12.4, 12.5, 13.0)
+    path.write_text(json.dumps({"segments": [
+        {"duration_s": 0.01, "q_src_lpm": q} for q in flows]}))
+    assert main(["simulate", str(path), "--config", str(cfg)]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    # state A keeps the injection line closed: no flow, no injection
+    assert [(r[3], r[5], r[9]) for r in rows] == [
+        ("0", "A", "0"), ("3.72881", "B", "0"), ("4.62373", "B", "0"),
+        ("4.66102", "B", "1"), ("4.84746", "B", "1")]
+
+
+@pytest.mark.parametrize("argv", [["sweep", "--param", "venturi.h_t_mm", "--values", "55"],
+                                  ["validate"], ["simulate", "SCENARIO"]],
+                         ids=["sweep", "validate", "simulate"])
+def test_full_inlet_that_stops_injecting_exits_1(argv, scenario_file, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(STOPS))
+    argv = [scenario_file if a == "SCENARIO" else a for a in argv]
+    assert main([*argv, "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("config error: venturi: the full inlet stops the injection again at 11.2968 L/min"
+            in captured.err)
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("segments, message", [
@@ -185,15 +244,37 @@ def test_simulate_unsampled_or_runaway_scenario_exits_1(segments, message, tmp_p
 
 
 def test_subnormal_timestep_exits_1(tmp_path, capsys):
-    # (end - _EPS) / dt is -inf here, which no ceiling turns into a step
+    # the second segment ends at the first sample after it starts
     path = tmp_path / "scenario.json"
-    path.write_text(json.dumps({"timestep_s": 5e-324, "segments": [
-        {"duration_s": 1e-323, "q_src_lpm": 10}]}))
+    path.write_text(json.dumps({"timestep_s": 1e-323, "segments": [
+        {"duration_s": 5e-324, "q_src_lpm": 10}, {"duration_s": 5e-324, "q_src_lpm": 20}]}))
     assert main(["simulate", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "segment 0 (t=0 s" in captured.err and "covers no sample" in captured.err
+    assert "segment 1 (t=4.94066e-324 s" in captured.err and "covers no sample" in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_subnormal_timestep_prints_its_samples(tmp_path, capsys):
+    # the end tolerance scales with the timestep, so even a subnormal one
+    # keeps the segment's two samples
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"timestep_s": 5e-324, "segments": [
+        {"duration_s": 1e-323, "q_src_lpm": 10}]}))
+    assert main(["simulate", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert [line.split(",")[:2] for line in captured.out.splitlines()[1:]] == [
+        ["0", "10"], ["4.94066e-324", "10"]]
+    assert "Traceback" not in captured.err
+
+
+def test_tiny_timestep_keeps_every_step_of_a_segment(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"timestep_s": 1e-10, "segments": [
+        {"duration_s": 1e-8, "q_src_lpm": 10}, {"duration_s": 1e-8, "q_src_lpm": 30}]}))
+    assert main(["simulate", str(path)]) == 0
+    flows = [line.split(",")[1] for line in capsys.readouterr().out.splitlines()[1:]]
+    assert flows == ["10"] * 100 + ["30"] * 100
 
 
 @pytest.mark.parametrize("argv, text, key", [

@@ -1,12 +1,17 @@
-"""Closed-form operating points against bisection as an independent oracle.
+"""Closed-form operating points against a dense grid of the runtime predicate.
 
 Every threshold the package reports is exact: the lever flip, the
-pinch-off, the injection onset and the orifice size.  Here bisection on
-the simulated predicate checks them over random switch and injector
-builds, and the predicate itself must flip across t * (1 +- 1e-9).
+pinch-off, the injection onset and the orifice size.  Here the
+predicate the simulation runs, sampled every 0.02 L/min, checks them
+over random switch and injector builds: a threshold is the predicate's
+first sampled edge, at most one sample below it and never above it,
+and the predicate itself must flip across t * (1 +- 1e-9).  The grid
+assumes nothing about monotonicity, so a full inlet that starts and
+then stops the injection shows up on it as an on-then-off edge.
 """
 
 from dataclasses import replace
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +33,6 @@ from flowhand.venturi import (
     InfeasibleDesignError,
     VenturiConfig,
     activation_threshold,
-    bisect_onset,
     injection_active,
     lubricant_column,
     q2_activation_threshold,
@@ -36,7 +40,7 @@ from flowhand.venturi import (
 )
 
 CONSTS = PhysConstants()
-RES = lpm_to_m3s(0.01)
+STEP = lpm_to_m3s(0.02)
 STATE_CEILING = lpm_to_m3s(150.0)
 Q2_CEILING = lpm_to_m3s(100.0)
 ACTIVATION_CEILING = lpm_to_m3s(200.0)
@@ -84,19 +88,54 @@ def venturi_configs(draw) -> VenturiConfig:
     )
 
 
-def _agrees(closed, active, hi) -> None:
-    """The closed form matches bisection and sits on the predicate's flip."""
-    bisected = bisect_onset(active, 0.0, hi, RES)
-    assert (closed is None) == (bisected is None)
-    if closed is not None:
-        assert closed * (1 - NEAR) <= bisected <= closed + RES
+@st.composite
+def full_inlet_configs(draw) -> VenturiConfig:
+    """Injectors with the full inlet: a 5-100 mm crest, source and
+    exhaust areas of 0.1-3 s_in, the source's often narrow, and a source
+    from 2000 Pa below to 300 Pa above ambient.  Their onsets land on
+    the lever flip, above it, nowhere, or on an injection set that ends."""
+    cfg = draw(venturi_configs())
+    return replace(cfg, use_simplified_inlet=False, h_t=draw(st.floats(0.005, 0.1)),
+                   s_src=draw(st.floats(0.1, 0.6) | st.floats(0.1, 3.0)) * cfg.s_in,
+                   s_e=draw(st.floats(0.1, 3.0)) * cfg.s_in,
+                   p_src=CONSTS.p_atm + draw(st.floats(-2000.0, 300.0)))
+
+
+injectors = venturi_configs() | full_inlet_configs()
+
+
+def _samples(hi: float):
+    """0, STEP, 2 STEP, ... up to hi, then 1 % apart up to 10^5 hi."""
+    return chain((i * STEP for i in range(int(hi / STEP) + 1)),
+                 (hi * 1.01 ** j for j in range(1, 1158)))
+
+
+def _on_grid(threshold, active, hi) -> None:
+    """`threshold()` is the first edge of `active` sampled up to hi, or
+    raises ConfigError where the samples show `active` turning on and
+    then off again."""
+    try:
+        closed = threshold()
+    except ConfigError:
+        seq = (active(q) for q in _samples(hi))
+        assert any(seq), "never on"
+        assert not all(seq), "never off again"
+        return
+    edge = next((q for q in _samples(hi) if q <= hi and active(q)), None)
+    if edge is None:
+        # an onset within the last step below hi has no sample above it
+        assert closed is None or closed > hi - STEP
+        return
+    assert closed is not None
+    assert edge - STEP <= closed <= edge * (1 + NEAR)
+    if closed > 0.0:
         assert not active(closed * (1 - NEAR))
         assert active(closed * (1 + NEAR))
 
 
 @oracle
 @given(fcs_configs())
-def test_state_thresholds_match_bisection(cfg):
+def test_state_thresholds_are_the_first_grid_edges(cfg):
     def past_a(q):
         return classify_state(q, cfg, CONSTS) is not FcsState.A
 
@@ -113,27 +152,59 @@ def test_state_thresholds_match_bisection(cfg):
         seq = [blocked(0.5 * (a + b)) for a, b in zip(cuts, cuts[1:])]
         assert any(a and not b for a, b in zip(seq, seq[1:]))
         return
-    _agrees(q_ab, past_a, STATE_CEILING)
-    _agrees(q_bc, blocked, STATE_CEILING)
+    _on_grid(lambda: q_ab, past_a, STATE_CEILING)
+    _on_grid(lambda: q_bc, blocked, STATE_CEILING)
 
 
 @oracle
-@given(venturi_configs())
-def test_q2_onset_matches_bisection(cfg):
+@given(injectors)
+def test_q2_onset_is_the_first_grid_edge(cfg):
     def active(q2):
         return injection_active(lubricant_column(q2, q2, cfg, CONSTS), cfg.h_t)
 
-    _agrees(q2_activation_threshold(cfg, CONSTS), active, Q2_CEILING)
+    _on_grid(lambda: q2_activation_threshold(cfg, CONSTS), active, Q2_CEILING)
 
 
-@oracle
-@given(venturi_configs(), fcs_configs())
-def test_activation_matches_bisection(cfg, fcs):
+def _activation_on_grid(cfg: VenturiConfig, fcs: FcsConfig) -> None:
     def active(q_src):
         q2 = steady_outputs(q_src, fcs, CONSTS).q2
         return injection_active(lubricant_column(q_src, q2, cfg, CONSTS), cfg.h_t)
 
-    _agrees(activation_threshold(cfg, fcs, CONSTS), active, ACTIVATION_CEILING)
+    _on_grid(lambda: activation_threshold(cfg, fcs, CONSTS), active, ACTIVATION_CEILING)
+
+
+@oracle
+@given(injectors, fcs_configs())
+def test_activation_is_the_first_grid_edge(cfg, fcs):
+    _activation_on_grid(cfg, fcs)
+
+
+@oracle
+@given(full_inlet_configs())
+def test_full_inlet_activation_on_the_reference_switch_is_the_first_grid_edge(cfg):
+    # the reference lever flips at 8.1 L/min, so the onsets spread over
+    # the flip, above it, nowhere and injection sets that end
+    _activation_on_grid(cfg, default_system().fcs)
+
+
+def test_full_inlet_that_stops_injecting_is_rejected():
+    # a narrow source below ambient: the column tops the crest as soon as
+    # the lever opens the line, and the source suction outgrows the
+    # orifice's as the flow rises
+    sys_ = default_system()
+    cfg = replace(sys_.venturi, use_simplified_inlet=False, s_src=0.3 * sys_.venturi.s_in,
+                  s_e=2.0 * sys_.venturi.s_in, p_src=CONSTS.p_atm - 1000.0)
+
+    def active(q_src):
+        q2 = steady_outputs(q_src, sys_.fcs, CONSTS).q2
+        return injection_active(lubricant_column(q_src, q2, cfg, CONSTS), cfg.h_t)
+
+    with pytest.raises(ConfigError, match="not monotone"):
+        activation_threshold(cfg, sys_.fcs, CONSTS)
+    with pytest.raises(ConfigError, match="not monotone"):
+        q2_activation_threshold(cfg, CONSTS)
+    seq = [active(lpm_to_m3s(q)) for q in (5.0, 10.0, 150.0)]
+    assert seq == [False, True, False]
 
 
 @oracle
@@ -151,18 +222,23 @@ def test_sized_orifice_puts_onset_on_target(cfg, target_lpm):
 
 
 @oracle
-@given(venturi_configs(), st.floats(5.0, 80.0), st.floats(1.0, 3.0))
-def test_sized_orifice_balances_full_inlet(cfg, target_lpm, src_ratio):
-    full = replace(cfg, use_simplified_inlet=False, s_src=2.0 * cfg.s_in,
-                   s_e=2.0 * cfg.s_in, p_src=CONSTS.p_atm)
+@given(full_inlet_configs(), st.floats(5.0, 80.0))
+def test_sized_orifice_balances_full_inlet(full, target_lpm):
     target = lpm_to_m3s(target_lpm)
-    q_src = src_ratio * target
     try:
-        s_out = size_orifice(target, full, CONSTS, q_src=q_src)
+        s_out = size_orifice(target, full, CONSTS)
     except InfeasibleDesignError:
+        # a source this far below ambient beats the column head, or only
+        # a lossy orifice or a source wider than the inlet needs an area
+        # at or above the inlet's
+        head = full.rho_lub * CONSTS.g * full.h_t
+        assert (head + full.p_src - CONSTS.p_atm <= 0 or full.discharge_coeff < 1.0
+                or full.s_src >= full.s_in)
         return
-    h_l = lubricant_column(q_src, target, replace(full, s_out=s_out), CONSTS)
-    assert h_l == pytest.approx(cfg.h_t, rel=NEAR)
+    sized = replace(full, s_out=s_out)
+    # the source flow is taken equal to q2, as design-search reads it back
+    assert lubricant_column(target, target, sized, CONSTS) == pytest.approx(full.h_t, rel=NEAR)
+    assert q2_activation_threshold(sized, CONSTS) == pytest.approx(target, rel=NEAR)
 
 
 @oracle

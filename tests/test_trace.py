@@ -3,7 +3,7 @@ points and the streamed CSV.
 
 A trace holds one run per segment, and rows exist only while to_csv
 writes them.  The oracles here are the per-step and per-segment forms
-the runs and their tables replace: stepping `while k * dt < end - _EPS`
+the runs and their tables replace: stepping `while k * dt < end - _EPS * dt`
 for the step ranges, evaluating the whole chain for every segment for
 the runs, and formatting every column of every `step_records(trace)` row for
 the CSV.
@@ -55,7 +55,7 @@ SCENE = GraspScene(object_width=0.05, object_mass=0.12)
 
 
 def loop_stop(k: int, end: float, dt: float) -> int:
-    while k * dt < end - _EPS:
+    while k * dt < end - _EPS * dt:
         k += 1
     return k
 
@@ -80,12 +80,12 @@ def row_by_row_csv(trace) -> str:
 
 @st.composite
 def boundaries(draw) -> tuple[int, float, float]:
-    """(first, end, dt): ends on a multiple of dt, within _EPS of one, or anywhere."""
-    dt = draw(st.sampled_from(TIMESTEPS) | st.floats(1e-4, 1.0))
+    """(first, end, dt): ends on a multiple of dt, within _EPS * dt of one, or anywhere."""
+    dt = draw(st.sampled_from(TIMESTEPS) | st.floats(1e-4, 1.0) | st.floats(1e-12, 1e-8))
     n = draw(st.integers(0, 20_000))
-    offset = draw(st.sampled_from((0.0, _EPS, -_EPS, 0.5 * _EPS, -0.5 * _EPS,
-                                   2 * _EPS, -2 * _EPS, 1e-15, -1e-15))
-                  | st.floats(-dt, dt))
+    offset = dt * draw(st.sampled_from((0.0, _EPS, -_EPS, 0.5 * _EPS, -0.5 * _EPS,
+                                        2 * _EPS, -2 * _EPS, 1e-13, -1e-13))
+                       | st.floats(-1.0, 1.0))
     end = n * dt + offset
     for _ in range(draw(st.integers(0, 2))):   # an ulp or two either way
         end = math.nextafter(end, draw(st.sampled_from((math.inf, -math.inf))))
@@ -104,6 +104,11 @@ def boundaries(draw) -> tuple[int, float, float]:
 @example((30, 0.12000000100000001, 0.003))
 @example((44_600, 1339.680000001, 0.03))
 @example((99_000, 298.239000001, 0.003))
+@example((0, 0.009000000300000002, 0.003))
+@example((0, 0.015000000300000002, 0.003))
+@example((0, 0.27000000300000004, 0.03))
+@example((124, 3.870000003, 0.03))
+@example((0, 1e-8, 1e-10))        # the tolerance scales with dt: 100 steps, not 90
 def test_step_stop_matches_stepping_loop(case):
     first, end, dt = case
     assert _step_stop(first, end, dt) == loop_stop(first, end, dt)

@@ -109,6 +109,17 @@ def test_inlet_pressure_rejects_q2_above_source():
         inlet_pressure(lpm_to_m3s(10.0), lpm_to_m3s(11.0), cfg, CONSTS)
 
 
+def test_closed_injection_line_draws_no_lubricant():
+    # below ambient, the full inlet alone would lift the column over the
+    # crest; with q2 = 0 the lever holds the line closed
+    cfg = make_config(use_simplified_inlet=False, s_src=2e-5, s_e=2e-5,
+                      p_src=CONSTS.p_atm - 1000.0)
+    q_src = lpm_to_m3s(5.0)
+    assert inlet_pressure(q_src, 0.0, cfg, CONSTS) < -cfg.rho_lub * CONSTS.g * cfg.h_t
+    assert lubricant_column(q_src, 0.0, cfg, CONSTS) == 0.0
+    assert lubricant_column(q_src, 0.0, make_config(), CONSTS) == 0.0
+
+
 def test_lubricant_rise_no_suction():
     assert lubricant_rise(0.0, 0.0, 789.0, 9.81) == 0.0
 
@@ -192,12 +203,18 @@ def test_size_orifice_shrinks_with_height():
 
 
 def test_size_orifice_infeasible_reported():
-    # a strongly suctioned inlet already beats the column head, so no
-    # constriction (s_out < s_in) can be responsible for the onset
+    # a source far enough below ambient already beats the column head,
+    # so no constriction (s_out < s_in) can be responsible for the onset
     cfg = make_config(use_simplified_inlet=False, s_src=2e-5, s_e=2e-7,
-                      p_src=CONSTS.p_atm)
-    with pytest.raises(InfeasibleDesignError):
-        size_orifice(lpm_to_m3s(44.0), cfg, CONSTS, q_src=lpm_to_m3s(150.0))
+                      p_src=CONSTS.p_atm - 1000.0)
+    with pytest.raises(InfeasibleDesignError, match="balance pressure -574"):
+        size_orifice(lpm_to_m3s(44.0), cfg, CONSTS)
+    # with a narrow source the flow's own suction could still balance the
+    # head at the target, but injection would stop there, not start
+    narrow = make_config(use_simplified_inlet=False, s_src=1e-5, s_e=2e-5,
+                         p_src=CONSTS.p_atm - 500.0)
+    with pytest.raises(InfeasibleDesignError, match="balance pressure -74"):
+        size_orifice(lpm_to_m3s(44.0), narrow, CONSTS)
     # a lossy orifice barely needing suction would have to be wider than
     # the inlet itself
     lossy = make_config(h_t=1e-6, discharge_coeff=0.5)
@@ -222,7 +239,7 @@ def test_size_orifice_round_trip():
         assert abs(m3s_to_lpm(got) - m3s_to_lpm(target)) <= 0.5
 
 
-def test_bisection_agrees_with_grid_scan():
+def test_q2_onset_agrees_with_grid_scan():
     rng = np.random.default_rng(6)
     step = 0.05
     for _ in range(20):
