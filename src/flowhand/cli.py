@@ -22,7 +22,6 @@ import sys
 
 from .config import ConfigError, load_system, system_to_dict
 from .core import lpm_to_m3s, m3s_to_lpm
-from .fcs import steady_outputs
 from .scenario import (
     DESIGN_TOLERANCE_LPM,
     DesignTargets,
@@ -32,6 +31,7 @@ from .scenario import (
     design_search,
     injection_displacement,
     load_scenario,
+    operating_point,
     run_scenario,
     state_thresholds,
     sweep,
@@ -40,13 +40,7 @@ from .scenario import (
 )
 from .system import Q2_ONSET_LPM, Q_AB_LPM, Q_BC_LPM
 from .tasks import GraspScene, can_grasp, payload
-from .venturi import (
-    InfeasibleDesignError,
-    activation_threshold,
-    injection_active,
-    lubricant_column,
-    q2_activation_threshold,
-)
+from .venturi import InfeasibleDesignError, activation_threshold, q2_activation_threshold
 
 
 def _emit(write, out: str | None) -> None:
@@ -178,13 +172,8 @@ def _cmd_validate(args) -> int:
                    q2_lpm is not None and abs(q2_lpm - Q2_ONSET_LPM) <= 1.0,
                    f"{'none' if q2_lpm is None else f'{q2_lpm:.2f}'} L/min vs {Q2_ONSET_LPM}"))
 
-    def injecting_at(q_lpm: float) -> bool:
-        out = steady_outputs(lpm_to_m3s(q_lpm), system.fcs, consts)
-        h_l = lubricant_column(lpm_to_m3s(q_lpm), out.q2, system.venturi, consts)
-        return injection_active(h_l, system.venturi.h_t)
-
-    checks.append(("injection gating", not injecting_at(50.0) and injecting_at(150.0),
-                   "off at 50 L/min, on at 150 L/min"))
+    off, on = (operating_point(lpm_to_m3s(q), system).injecting for q in (50.0, 150.0))
+    checks.append(("injection gating", not off and on, "off at 50 L/min, on at 150 L/min"))
 
     lift = payload(0.38, system.hand, system.hand.mu_high)
     wide = GraspScene(object_width=0.073, object_mass=0.05)

@@ -82,6 +82,10 @@ class FcsConfig:
             raise ValueError(f"f_rot must be finite and >= 0, got {self.f_rot}")
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
+        # the pinch force per squared source flow, over rho (pinch_crossings)
+        if not 0.0 < (pinch := self.epsilon * self.alpha ** 2 / self.s3) < math.inf:
+            raise ValueError(f"the pinch coefficient epsilon * alpha^2 / s3 must be "
+                             f"finite and > 0, got {pinch}")
         forces = [f for _, f in self.f_block_curve.knots]
         if min(forces) < 0:
             raise ValueError(f"f_block_curve forces must be >= 0, got {min(forces)} N")

@@ -67,6 +67,9 @@ class FingerConfig:
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
+        # the largest angle the bent finger's arc turns through (posture)
+        if not (turn := self.curvature_gain * self.p_max * self.finger_length) < math.inf:
+            raise ValueError(f"curvature_gain * p_max * finger_length must be finite, got {turn}")
         if self.pressure_map(0.0) != 0.0:
             raise ValueError("pressure map must pass through (0, 0)")
         ys = [y for _, y in self.pressure_map.knots]

@@ -57,6 +57,7 @@ from .core import (
 )
 from .fcs import (
     FcsConfig,
+    FcsOutputs,
     FcsState,
     blocking_force,
     calibrate_s3,
@@ -92,6 +93,7 @@ from .venturi import (
     injection_active,
     lubricant_column,
     q2_activation_threshold,
+    size_exhaust,
     size_orifice,
 )
 
@@ -465,9 +467,8 @@ def run_scenario(
     system = system or default_system()
     consts = system.consts
     tracker = FrictionTracker()
-    # q_src -> (outputs, injecting, finger outputs or None); in state C
-    # the latch holds the finger outputs (p_f, f_tip, r) of the last
-    # command that reached the chamber
+    # q_src -> its OperatingPoint; in state C the latch holds the finger
+    # outputs (p_f, f_tip, r) of the last command that reached the chamber
     points: dict = {}
     held = None
     runs: list[SegmentRun] = []
@@ -480,12 +481,15 @@ def run_scenario(
         end = start + seg.duration
         point = points.get(seg.q_src)
         if point is None:
-            point = points[seg.q_src] = _operating_point(seg.q_src, i, start, system)
+            try:
+                point = points[seg.q_src] = operating_point(seg.q_src, system)
+            except SimulationError as exc:
+                raise SimulationError(f"{exc} in segment {i} (t={start:g} s)") from None
         out, injecting, finger = point
         if finger is not None:
             held = finger
         elif held is None:     # sealed before any air reached the chamber
-            held = _finger_outputs(0.0, system.finger, i, start)
+            held = _finger_outputs(0.0, system.finger)
         p_f, f_tip, r = held
         friction = tracker.record(injecting)
 
@@ -505,36 +509,41 @@ def run_scenario(
     return SimTrace(name=scenario.name, timestep=dt, runs=tuple(runs), **results)
 
 
-def _check_finite(index: int, start: float, *values: tuple[str, float]) -> None:
+def _check_finite(*values: tuple[str, float]) -> None:
     for name, value in values:
         if not math.isfinite(value):
-            raise SimulationError(f"{name} is {value} in segment {index} (t={start:g} s)")
+            raise SimulationError(f"{name} is {value}")
 
 
-def _operating_point(q_src: float, index: int, start: float, system: SystemConfig) -> tuple:
-    """A command's outputs, evaluated at its first segment, `index`.
+class OperatingPoint(NamedTuple):
+    """One command's switch outputs, whether it injects, and its finger
+    outputs (p_f, f_tip, r): None in state C, whose sealed chamber keeps
+    the pressure an earlier command put there."""
 
-    (steady outputs, injecting, finger outputs), where the finger
-    outputs are None in state C: the sealed chamber keeps the pressure
-    an earlier command put there.
-    """
-    consts = system.consts
-    out = steady_outputs(q_src, system.fcs, consts)
+    out: FcsOutputs
+    injecting: bool
+    finger: tuple[float, float, float] | None
+
+
+def operating_point(q_src: float, system: SystemConfig) -> OperatingPoint:
+    """The command q_src [m^3/s] through the switch, the injector and the
+    finger; SimulationError names a non-finite output."""
+    out = steady_outputs(q_src, system.fcs, system.consts)
     p_f = None if out.state is FcsState.C else chamber_pressure(q_src, system.finger)
-    h_l = lubricant_column(q_src, out.q2, system.venturi, consts)
+    h_l = lubricant_column(q_src, out.q2, system.venturi, system.consts)
     injecting = injection_active(h_l, system.venturi.h_t)
-    _check_finite(index, start, ("q1", out.q1), ("q2", out.q2), ("q_exhaust", out.q_exhaust))
-    finger = None if p_f is None else _finger_outputs(p_f, system.finger, index, start)
-    return out, injecting, finger
+    _check_finite(("q1", out.q1), ("q2", out.q2), ("q_exhaust", out.q_exhaust))
+    finger = None if p_f is None else _finger_outputs(p_f, system.finger)
+    return OperatingPoint(out, injecting, finger)
 
 
-def _finger_outputs(p_f: float, cfg: FingerConfig, index: int, start: float) -> tuple:
-    """(p_f, f_tip, r) at chamber pressure p_f, first held in segment `index`."""
+def _finger_outputs(p_f: float, cfg: FingerConfig) -> tuple:
+    """(p_f, f_tip, r) at chamber pressure p_f."""
     f_tip = tip_force(p_f, cfg)
     r = bending_radius(p_f, cfg)
-    _check_finite(index, start, ("p_f", p_f), ("f_tip", f_tip))
+    _check_finite(("p_f", p_f), ("f_tip", f_tip))
     if math.isnan(r):
-        raise SimulationError(f"r is nan in segment {index} (t={start:g} s)")
+        raise SimulationError("r is nan")
     return p_f, f_tip, r
 
 
@@ -685,10 +694,12 @@ class DesignReport(NamedTuple):
     achieved: tuple[float, float, float]
 
     def within_tolerance(self) -> bool:
-        goals = (self.targets.q_ab_lpm, self.targets.q_bc_lpm,
-                 self.targets.q2_activation_lpm)
-        return all(abs(a - g) <= min(DESIGN_TOLERANCE_LPM, DESIGN_REL_TOLERANCE * g)
-                   for a, g in zip(self.achieved, goals))
+        return all(map(_near, self.achieved, self.targets))
+
+
+def _near(achieved: float, goal: float) -> bool:
+    """achieved is within both design tolerances of goal [L/min]."""
+    return abs(achieved - goal) <= min(DESIGN_TOLERANCE_LPM, DESIGN_REL_TOLERANCE * goal)
 
 
 def design_search(
@@ -701,12 +712,14 @@ def design_search(
     Keeps the base split ratio, lever arm ratio, and blocking curve;
     solves the four free parameters in closed form, then reads the
     thresholds back from the tuned config and gates them on the absolute
-    and the relative tolerance.  Under the full inlet model the orifice
-    is sized with the source flow equal to the q2 target, as
-    q2_activation_threshold reads it back; the composed activation need
-    not then sit at q_bc.  Raises InfeasibleDesignError naming the
-    binding constraint when no setting can work, and ConfigError for a
-    non-finite target.
+    and the relative tolerance.  The orifice is sized with the source
+    flow equal to the q2 target, as q2_activation_threshold reads it
+    back.  Under the full inlet model the exhaust area s_e is then
+    solved so that the composed system, whose line carries gamma alpha
+    of the source, starts injecting at q_bc; under both models the
+    activation read back from the tuned config is gated on q_bc too.
+    Raises InfeasibleDesignError naming the binding constraint when no
+    setting can work, and ConfigError for a non-finite target.
     """
     base = system or default_system()
     consts = base.consts
@@ -737,22 +750,35 @@ def design_search(
     f_rot = _tuned("lever onset f_rot", targets,
                    consts.rho_air * (fcs.alpha * lpm_to_m3s(q_ab)) ** 2 / s3)
     gamma = _tuned("injection fraction gamma", targets, q2_act / jet_at_bc)
-    tuned_fcs = replace(fcs, s3=s3, f_rot=f_rot, gamma=gamma)
-    s_out = size_orifice(_tuned("q2 onset in m^3/s", targets, lpm_to_m3s(q2_act)),
-                         base.venturi, consts)
-    tuned = replace(base, fcs=tuned_fcs,
-                    venturi=replace(base.venturi, s_out=s_out))
+    tuned_fcs = _admissible(fcs, s3=s3, f_rot=f_rot, gamma=gamma)
+    venturi = _admissible(base.venturi, s_out=size_orifice(
+        _tuned("q2 onset in m^3/s", targets, lpm_to_m3s(q2_act)), base.venturi, consts))
+    if not venturi.use_simplified_inlet:
+        venturi = _admissible(venturi, s_e=size_exhaust(lpm_to_m3s(q_bc), venturi,
+                                                        tuned_fcs, consts))
+    tuned = replace(base, fcs=tuned_fcs, venturi=venturi)
 
-    got = (*state_thresholds(tuned_fcs, consts), q2_activation_threshold(tuned.venturi, consts))
+    # the composed system must also start injecting at the q_bc target
+    got = (*state_thresholds(tuned_fcs, consts), q2_activation_threshold(venturi, consts),
+           activation_threshold(venturi, tuned_fcs, consts))
     if None in got:
         raise InfeasibleDesignError(f"verification lost a threshold: got {got}")
-    achieved = tuple(m3s_to_lpm(q) for q in got)
-    report = DesignReport(targets=targets, achieved=achieved)
-    if not report.within_tolerance():
+    *achieved, act = map(m3s_to_lpm, got)
+    report = DesignReport(targets=targets, achieved=tuple(achieved))
+    if not (report.within_tolerance() and _near(act, q_bc)):
         raise InfeasibleDesignError(
-            f"tuned config missed the targets: achieved {achieved}, "
-            f"wanted within {DESIGN_TOLERANCE_LPM} L/min and {DESIGN_REL_TOLERANCE:g} relative")
+            f"tuned config missed the targets: achieved {report.achieved}, injecting from "
+            f"{act:g} L/min, wanted within {DESIGN_TOLERANCE_LPM} L/min and "
+            f"{DESIGN_REL_TOLERANCE:g} relative")
     return tuned, report
+
+
+def _admissible(cfg, **tuned):
+    """cfg with the tuned fields; a value its checks reject is infeasible, as in _tuned."""
+    try:
+        return replace(cfg, **tuned)
+    except ValueError as exc:
+        raise InfeasibleDesignError(f"no admissible geometry hits the targets: {exc}") from None
 
 
 def _tuned(name: str, targets: DesignTargets, value: float) -> float:

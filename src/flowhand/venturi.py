@@ -22,9 +22,9 @@ section as vented, p_in = 0 gauge.  The full source-balance model adds
 the Bernoulli terms from the air source and the exhaust outlet and
 needs s_src, s_e and p_src to be configured.
 
-The onset and the orifice size are closed forms under both models.  On
-a line that carries q2 = c * q_src, the margin dp - p_in - rho_lub*g*h_t
-is K q_src^2 - P, where
+The column, the onset and the orifice and exhaust sizes read one margin
+(_margin).  On a line that carries q2 = c * q_src, the margin
+dp - p_in - rho_lub*g*h_t is K q_src^2 - P, where
 
     K = rho_air/2 * (c^2/s_out_eff^2 - 1/s_src^2 + (1-c)^2/s_e^2)
     P = rho_lub*g*h_t + p_src - p_atm
@@ -83,24 +83,22 @@ class VenturiConfig:
     p_src: float | None = None
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.s_in < math.inf:
-            raise ValueError(f"s_in must be finite and > 0, got {self.s_in}")
+        for name in ("s_in", "s_t", "h_t", "rho_lub", "s_src", "s_e", "p_src"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
         if not 0.0 < self.s_out < self.s_in:
             raise ValueError(
                 f"need 0 < s_out < s_in for suction, got s_out={self.s_out}, s_in={self.s_in}"
             )
-        if not 0.0 < self.s_t < math.inf:
-            raise ValueError(f"s_t must be finite and > 0, got {self.s_t}")
-        if not 0.0 < self.h_t < math.inf:
-            raise ValueError(f"h_t must be finite and > 0, got {self.h_t}")
-        if not 0.0 < self.rho_lub < math.inf:
-            raise ValueError(f"rho_lub must be finite and > 0, got {self.rho_lub}")
         if not 0.0 < self.discharge_coeff <= 1.0:
             raise ValueError(f"discharge_coeff must be in (0, 1], got {self.discharge_coeff}")
-        for name in ("s_src", "s_e", "p_src"):
-            value = getattr(self, name)
-            if value is not None and not 0.0 < value < math.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
+        # K divides by the square of each of these areas (module docstring)
+        for name, area in (("s_in", self.s_in), ("s_src", self.s_src), ("s_e", self.s_e),
+                           ("discharge_coeff * s_out", self.discharge_coeff * self.s_out)):
+            if area is not None and not (0.0 < area * area < math.inf
+                                         and 1.0 / (area * area) < math.inf):
+                raise ValueError(f"{name} is {area:g} m^2, whose inverse square is not finite and > 0")
         if not self.use_simplified_inlet:
             missing = [n for n in ("s_src", "s_e", "p_src") if getattr(self, n) is None]
             if missing:
@@ -120,48 +118,6 @@ def orifice_pressure_drop(q2: float, s_in: float, s_out: float, rho_air: float) 
     return rho_air * q2 * q2 * (1.0 / s_out**2 - 1.0 / s_in**2) / 2.0
 
 
-def inlet_pressure(q_src: float, q2: float, cfg: VenturiConfig, consts: PhysConstants) -> float:
-    """Gauge pressure at the wide section before the orifice [Pa].
-
-    Simplified model: 0.  Full model balances the source against the
-    exhaust and injection outlets:
-
-        p_in = p_src - p_atm
-               + rho/2 * (q_src^2/s_src^2 - (q_src-q2)^2/s_e^2 - q2^2/s_in^2)
-    """
-    if q2 < 0 or q_src < 0:
-        raise ValueError("flows must be >= 0")
-    if q2 > q_src:
-        raise ValueError(f"q2 ({q2}) cannot exceed q_src ({q_src})")
-    if cfg.use_simplified_inlet:
-        return 0.0
-    rho = consts.rho_air
-    return (
-        cfg.p_src
-        - consts.p_atm
-        + rho
-        / 2.0
-        * (
-            q_src**2 / cfg.s_src**2
-            - (q_src - q2) ** 2 / cfg.s_e**2
-            - q2**2 / cfg.s_in**2
-        )
-    )
-
-
-def lubricant_rise(p_in: float, delta_p: float, rho_lub: float, g: float) -> float:
-    """Hydrostatic column height pulled up by the orifice suction [m].
-
-    p_out_gauge = p_in - delta_p; the column rises until
-    rho_lub * g * h_l balances the suction, and cannot go below zero
-    under positive orifice pressure.
-    """
-    if rho_lub <= 0 or g <= 0:
-        raise ValueError("rho_lub and g must be > 0")
-    p_out_gauge = p_in - delta_p
-    return max(0.0, -p_out_gauge / (rho_lub * g))
-
-
 def injection_active(h_l: float, h_t: float) -> bool:
     """Lubricant reaches the orifice iff the column tops the tube crest."""
     if not h_t > 0:
@@ -169,9 +125,18 @@ def injection_active(h_l: float, h_t: float) -> bool:
     return h_l > h_t
 
 
-def effective_orifice_area(cfg: VenturiConfig) -> float:
-    """Orifice area after the discharge-coefficient correction [m^2]."""
-    return cfg.discharge_coeff * cfg.s_out
+def _margin(cfg: VenturiConfig, consts: PhysConstants, c: float) -> tuple[float, ...]:
+    """K of a line that carries q2 = c q_src, then its orifice and inlet
+    terms over rho_air/2 [1/m^4], then the source's gauge pressure [Pa]:
+    the orifice sits K q_src^2 - gauge below ambient, and P is
+    rho_lub g h_t + gauge (module docstring)."""
+    orifice = c * c / (cfg.discharge_coeff * cfg.s_out) ** 2
+    if cfg.use_simplified_inlet:
+        inlet, exhaust, gauge = -c * c / cfg.s_in ** 2, 0.0, 0.0
+    else:
+        inlet, exhaust = -1.0 / cfg.s_src ** 2, (1.0 - c) ** 2 / cfg.s_e ** 2
+        gauge = cfg.p_src - consts.p_atm
+    return consts.rho_air / 2.0 * (orifice + inlet + exhaust), orifice, inlet, gauge
 
 
 def lubricant_column(q_src: float, q2: float, cfg: VenturiConfig, consts: PhysConstants) -> float:
@@ -180,16 +145,12 @@ def lubricant_column(q_src: float, q2: float, cfg: VenturiConfig, consts: PhysCo
     0 when q2 is 0: the lever then holds the injection line closed, so
     no inlet pressure reaches the tube.
     """
-    delta_p = orifice_pressure_drop(q2, cfg.s_in, effective_orifice_area(cfg), consts.rho_air)
-    p_in = inlet_pressure(q_src, q2, cfg, consts)
-    return lubricant_rise(p_in, delta_p, cfg.rho_lub, consts.g) if q2 > 0.0 else 0.0
-
-
-def _balance_pressure(cfg: VenturiConfig, consts: PhysConstants) -> float:
-    """P: the column head plus, under the full inlet, the source's gauge
-    pressure [Pa]."""
-    p = cfg.rho_lub * consts.g * cfg.h_t
-    return p if cfg.use_simplified_inlet else p + cfg.p_src - consts.p_atm
+    if not 0.0 <= q2 <= q_src:
+        raise ValueError(f"need 0 <= q2 <= q_src, got q2={q2}, q_src={q_src}")
+    if q2 == 0.0:
+        return 0.0
+    k, _, _, gauge = _margin(cfg, consts, q2 / q_src)
+    return max(0.0, (k * q_src * q_src - gauge) / (cfg.rho_lub * consts.g))
 
 
 def _onset(cfg: VenturiConfig, consts: PhysConstants, c: float, lo: float) -> float | None:
@@ -200,13 +161,8 @@ def _onset(cfg: VenturiConfig, consts: PhysConstants, c: float, lo: float) -> fl
     margin positive at lo means injection stops again above lo, so it is
     not monotone in the source flow: a ConfigError.
     """
-    inv_out = 1.0 / effective_orifice_area(cfg) ** 2
-    if cfg.use_simplified_inlet:
-        k = c * c * (inv_out - 1.0 / cfg.s_in ** 2)
-    else:
-        k = c * c * inv_out - 1.0 / cfg.s_src ** 2 + (1.0 - c) ** 2 / cfg.s_e ** 2
-    k *= consts.rho_air / 2.0
-    p = _balance_pressure(cfg, consts)
+    k, _, _, gauge = _margin(cfg, consts, c)
+    p = cfg.rho_lub * consts.g * cfg.h_t + gauge
     if k > 0.0:
         return lo if p <= 0.0 else max(lo, math.sqrt(p / k))
     if p >= 0.0:
@@ -266,14 +222,35 @@ def size_orifice(target_q2: float, cfg: VenturiConfig, consts: PhysConstants) ->
     """
     if not target_q2 > 0:
         raise ValueError(f"target_q2 must be > 0, got {target_q2}")
-    p = _balance_pressure(cfg, consts)
-    wide = cfg.s_in if cfg.use_simplified_inlet else cfg.s_src
+    _, _, inlet, gauge = _margin(cfg, consts, 1.0)
+    p = cfg.rho_lub * consts.g * cfg.h_t + gauge
     # a target_q2 whose square underflows needs an orifice of no area
     if p > 0 and (flow_sq := consts.rho_air * target_q2 ** 2) > 0:
-        inv_sq = 2.0 * p / flow_sq + 1.0 / wide ** 2
-        s_out = 1.0 / (cfg.discharge_coeff * math.sqrt(inv_sq))
+        s_out = 1.0 / (cfg.discharge_coeff * math.sqrt(2.0 * p / flow_sq - inlet))
         if 0.0 < s_out < cfg.s_in:
             return s_out
     raise InfeasibleDesignError(
         "no orifice narrower than the inlet can set this onset "
         f"(balance pressure {p:.6g} Pa)")
+
+
+def size_exhaust(target_q: float, cfg: VenturiConfig, fcs: FcsConfig, consts: PhysConstants) -> float:
+    """Exhaust area that puts the full inlet's onset, on a line that
+    carries c = gamma alpha of the source, at source flow target_q [m^2]:
+
+        (1-c)^2 / s_e^2 = 2 P / (rho q^2) + 1 / s_src^2 - c^2 / (c_d s_out)^2
+
+    solves K target_q^2 = P (module docstring).  InfeasibleDesignError
+    when the right side is not positive: the orifice then lifts the
+    column over the crest below target_q already.
+    """
+    c = fcs.gamma * fcs.alpha
+    _, orifice, inlet, gauge = _margin(cfg, consts, c)
+    p = cfg.rho_lub * consts.g * cfg.h_t + gauge
+    if p > 0 and (flow_sq := consts.rho_air * target_q ** 2) > 0:
+        inv_sq = 2.0 * p / flow_sq - orifice - inlet
+        if inv_sq > 0.0:
+            return (1.0 - c) / math.sqrt(inv_sq)
+    raise InfeasibleDesignError(
+        f"no exhaust area s_e can put the injection onset at {m3s_to_lpm(target_q):.6g} "
+        "L/min: the orifice lifts the column over the crest below it")

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from flowhand import cli
 from flowhand.cli import main
-from flowhand.config import load_system
+from flowhand.config import SCHEMA, load_system
 from flowhand.scenario import CSV_HEADER
 
 SCENARIO = {
@@ -174,7 +174,8 @@ def test_design_search_full_inlet_exits_1(tmp_path, capsys):
 
 
 def test_design_search_full_inlet_hits_targets(tmp_path, capsys):
-    # the orifice is sized with the source flow equal to the q2 target
+    # the orifice is sized with the source flow equal to the q2 target,
+    # then the exhaust so that the composed system injects from q_bc on
     cfg = tmp_path / "full_inlet.json"
     cfg.write_text(json.dumps({"venturi": {
         "use_simplified_inlet": False, "p_src_kpa_abs": 101.4,
@@ -184,7 +185,11 @@ def test_design_search_full_inlet_hits_targets(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[1] == "achieved (L/min): q_ab 8.1, q_bc 118, q2 onset 44"
     assert lines[2] == "within 1 L/min: yes"
-    assert json.loads(out.read_text())["venturi"]["use_simplified_inlet"] is False
+    venturi = json.loads(out.read_text())["venturi"]
+    assert venturi["use_simplified_inlet"] is False
+    assert venturi["s_e_mm2"] == pytest.approx(13.5173, rel=1e-5)
+    assert main(["validate", "--config", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "10/10 checks passed"
 
 
 # the injection-line flows and onsets of a full inlet 162 Pa below ambient
@@ -396,6 +401,14 @@ def test_design_search_overflowing_jet_area_exits_1(targets, capsys):
     assert "Traceback" not in err
 
 
+def test_design_search_inadmissible_tuned_geometry_exits_1(capsys):
+    # s3 comes out subnormal, so the tuned pinch coefficient overflows
+    assert main(["design-search", "--q-ab", "1e-152", "--q-bc", "1e-150", "--q2", "1e-153"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: no admissible geometry hits the targets: the pinch coefficient")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("flag, target", [("--q-ab", "q_ab"), ("--q-bc", "q_bc"),
                                           ("--q2", "q2 activation")])
@@ -574,3 +587,90 @@ def test_random_knot_lists_end_in_an_exit_code(key, knots):
             if rc != 0:
                 assert not Path(out).exists(), argv
             Path(out).unlink(missing_ok=True)
+
+
+PROBE_VALUES = (1e-160, 1e-300, 5e-324, 1e300, 1.7e308)
+FULL_INLET = {"use_simplified_inlet": False, "p_src_kpa_abs": 101.4,
+              "s_src_mm2": 20, "s_e_mm2": 30}
+PROBE_KEYS = [f"{section}.{key}" for section in ("venturi", "finger", "fcs")
+              for key in sorted(SCHEMA[section])
+              if key not in ("use_simplified_inlet", "f_block_knots", "pressure_map_knots")]
+
+
+def probe(key: str, value: float, base: dict, scenario: str, cfg: Path) -> list:
+    """(argv, exit code, stderr) of validate, sweep, simulate and
+    design-search with `key` set to `value` over `base`."""
+    section, name = key.split(".")
+    cfg.write_text(json.dumps({**base, section: {**base.get(section, {}), name: value}}))
+    base_cfg = cfg.with_name("base.json")
+    base_cfg.write_text(json.dumps(base))
+    runs = []
+    for argv in (["validate", "--config", str(cfg)],
+                 ["sweep", "--param", key, "--values", repr(value), "--config", str(base_cfg)],
+                 ["simulate", scenario, "--config", str(cfg)],
+                 ["design-search", "--config", str(cfg)]):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main(argv)
+        runs.append((argv, rc, err.getvalue()))
+    return runs
+
+
+def test_extreme_config_values_end_in_an_exit_code(scenario_file, tmp_path):
+    # each number key alone at a value whose square, product or inverse
+    # overflows or vanishes in a closed form; no exception escapes main
+    for key in PROBE_KEYS:
+        for value in PROBE_VALUES:
+            for base in ({}, {"venturi": FULL_INLET}):
+                for argv, rc, err in probe(key, value, base, scenario_file, tmp_path / "c.json"):
+                    assert rc in (0, 1, 2), (key, value, base, argv)
+                    assert "Traceback" not in err
+
+
+# the rows that ended in a ZeroDivisionError, OverflowError or math
+# domain error: a derived coefficient vanished or overflowed
+@pytest.mark.parametrize("key, values, bases", [
+    ("fcs.alpha", (1e-300, 5e-324), ({}, {"venturi": FULL_INLET})),
+    ("finger.curvature_gain", (1.7e308,), ({},)),
+    ("venturi.discharge_coeff", (1e-160, 1e-300, 5e-324), ({}, {"venturi": FULL_INLET})),
+    ("venturi.s_out_mm2", (1e-160, 1e-300), ({}, {"venturi": FULL_INLET})),
+    ("venturi.s_in_mm2", (1e300, 1.7e308), ({}, {"venturi": FULL_INLET})),
+    ("venturi.s_src_mm2", PROBE_VALUES[:2] + PROBE_VALUES[3:], ({"venturi": FULL_INLET},)),
+    ("venturi.s_e_mm2", PROBE_VALUES[:2] + PROBE_VALUES[3:], ({"venturi": FULL_INLET},)),
+])
+def test_vanishing_or_overflowing_coefficient_is_a_config_error(key, values, bases,
+                                                                scenario_file, tmp_path):
+    field = key.split(".")[1].removesuffix("_mm2")
+    for value in values:
+        for base in bases:
+            for argv, rc, err in probe(key, value, base, scenario_file, tmp_path / "c.json"):
+                assert rc == 1, (value, argv)
+                assert err.startswith("config error: ") and field in err, (value, argv, err)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(p_src=st.floats(101.025, 101.825), s_src=st.floats(5.0, 80.0),
+       s_e=st.floats(5.0, 80.0))
+def test_full_inlet_design_injects_at_its_q_bc_target(p_src, s_src, s_e):
+    # a full-inlet design that exits 0 starts injecting at q_bc, as sweep
+    # reads it and as simulate runs it, and passes validate
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, tuned, scenario = (str(Path(tmp, n)) for n in ("c.json", "t.json", "s.json"))
+        Path(cfg).write_text(json.dumps({"venturi": {
+            "use_simplified_inlet": False, "p_src_kpa_abs": p_src,
+            "s_src_mm2": s_src, "s_e_mm2": s_e}}))
+        Path(scenario).write_text(json.dumps({"segments": [
+            {"duration_s": 0.01, "q_src_lpm": q} for q in (117.0, 119.0)]}))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            rc = main(["design-search", "--config", cfg, "--out", tuned])
+            if rc == 0:
+                assert main(["sweep", "--param", "venturi.h_t_mm", "--values", "55",
+                             "--config", tuned]) == 0
+                assert main(["simulate", scenario, "--config", tuned]) == 0
+                assert main(["validate", "--config", tuned]) == 0
+        assert rc in (0, 1)
+        if rc == 0:
+            lines = out.getvalue().splitlines()
+            assert lines[5] == "venturi.h_t_mm,55,8.1,118,118"
+            assert [row.split(",")[9] for row in lines[7:9]] == ["0", "1"]

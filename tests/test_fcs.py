@@ -187,6 +187,11 @@ def test_config_validation():
         make_config(gamma=0.0)
     with pytest.raises(ValueError):
         make_config(gamma=1.2)
+    # alpha^2 underflows, or epsilon / s3 overflows: the pinch
+    # coefficient epsilon * alpha^2 / s3 is 0 or inf
+    for bad in (dict(alpha=1e-300), dict(alpha=5e-324), dict(epsilon=1e300, s3=1e-10)):
+        with pytest.raises(ValueError, match="pinch coefficient"):
+            make_config(**bad)
 
 
 def test_negative_flow_rejected():

@@ -153,6 +153,9 @@ def test_config_validation():
         FingerConfig(finger_length=0.0)
     with pytest.raises(ValueError):
         FingerConfig(p_max=0.0)
+    with pytest.raises(ValueError, match="curvature_gain"):
+        # finite itself, but the arc would turn through an infinite angle
+        FingerConfig(curvature_gain=1.7e305)
     with pytest.raises(ValueError):
         # map must start from zero pressure at zero flow
         FingerConfig(pressure_map=PiecewiseLinearCurve(((0.0, 5.0), (50.0, 10.0))))

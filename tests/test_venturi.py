@@ -1,6 +1,8 @@
 """Venturi injection circuit: suction, column rise, activation, sizing."""
 
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,12 +14,10 @@ from flowhand.venturi import (
     VenturiConfig,
     activation_threshold,
     injection_active,
-    effective_orifice_area,
-    inlet_pressure,
     lubricant_column,
-    lubricant_rise,
     orifice_pressure_drop,
     q2_activation_threshold,
+    size_exhaust,
     size_orifice,
 )
 
@@ -28,6 +28,12 @@ def make_config(**overrides) -> VenturiConfig:
     base = dict(s_in=2e-5, s_out=1.618e-5, s_t=3e-6, h_t=0.055)
     base.update(overrides)
     return VenturiConfig(**base)
+
+
+def full_inlet(**overrides) -> VenturiConfig:
+    base = dict(use_simplified_inlet=False, s_src=2e-5, s_e=2e-5, p_src=CONSTS.p_atm)
+    base.update(overrides)
+    return make_config(**base)
 
 
 def test_pressure_drop_zero_flow():
@@ -73,8 +79,7 @@ def test_suction_regardless_of_flow():
     for _ in range(50):
         cfg = make_config()
         q2 = lpm_to_m3s(float(rng.uniform(0.1, 100.0)))
-        delta_p = orifice_pressure_drop(q2, cfg.s_in, effective_orifice_area(cfg),
-                                        CONSTS.rho_air)
+        delta_p = orifice_pressure_drop(q2, cfg.s_in, cfg.s_out, CONSTS.rho_air)
         assert delta_p > 0
         # p_in is 0 gauge, so the column rises by the whole drop
         h_l = lubricant_column(q2, q2, cfg, CONSTS)
@@ -83,55 +88,75 @@ def test_suction_regardless_of_flow():
 
 
 def test_inlet_pressure_simplified_is_zero():
+    # the vented inlet adds nothing: the column is the orifice drop alone,
+    # whatever the source flow around the line
     cfg = make_config()
-    assert inlet_pressure(lpm_to_m3s(150.0), lpm_to_m3s(44.0), cfg, CONSTS) == 0.0
+    q2 = lpm_to_m3s(44.0)
+    dp = orifice_pressure_drop(q2, cfg.s_in, cfg.s_out, CONSTS.rho_air)
+    for q_lpm in (44.0, 118.0, 150.0):
+        h_l = lubricant_column(lpm_to_m3s(q_lpm), q2, cfg, CONSTS)
+        assert h_l == pytest.approx(dp / (cfg.rho_lub * CONSTS.g), rel=1e-12)
 
 
 def test_inlet_pressure_full_static_no_flow():
-    cfg = make_config(use_simplified_inlet=False, s_src=2e-5, s_e=2e-5,
-                      p_src=CONSTS.p_atm)
-    assert inlet_pressure(0.0, 0.0, cfg, CONSTS) == pytest.approx(0.0)
+    # a source at ambient, as wide as the inlet, that feeds only the line
+    # (no exhaust flow) leaves the inlet at 0 gauge: the vented column
+    for q_lpm in (5.0, 44.0, 100.0):
+        q = lpm_to_m3s(q_lpm)
+        assert lubricant_column(q, q, full_inlet(), CONSTS) == pytest.approx(
+            lubricant_column(q, q, make_config(), CONSTS), rel=1e-12)
 
 
 def test_inlet_pressure_full_model_value():
-    cfg = make_config(use_simplified_inlet=False, s_src=2e-5, s_e=2e-5,
-                      p_src=CONSTS.p_atm)
+    # a narrow exhaust pulls the inlet 10.2 kPa below ambient
+    cfg = full_inlet(s_e=1e-5)
     q_src, q2 = lpm_to_m3s(150.0), lpm_to_m3s(44.0)
-    expect = 0.5 * 1.2 * (q_src ** 2 / 4e-10 - (q_src - q2) ** 2 / 4e-10 - q2 ** 2 / 4e-10)
-    p_in = inlet_pressure(q_src, q2, cfg, CONSTS)
-    assert p_in == pytest.approx(expect, rel=1e-12)
-    assert p_in == pytest.approx(3886.6667, rel=1e-6)
+    p_in = 0.5 * 1.2 * (q_src ** 2 / 4e-10 - (q_src - q2) ** 2 / 1e-10 - q2 ** 2 / 4e-10)
+    assert p_in == pytest.approx(-10158.333, rel=1e-6)
+    dp = orifice_pressure_drop(q2, cfg.s_in, cfg.s_out, CONSTS.rho_air)
+    h_l = lubricant_column(q_src, q2, cfg, CONSTS)
+    assert h_l == pytest.approx((dp - p_in) / (cfg.rho_lub * CONSTS.g), rel=1e-12)
+    assert h_l == pytest.approx(1.36745, rel=1e-5)
 
 
 def test_inlet_pressure_rejects_q2_above_source():
-    cfg = make_config()
-    with pytest.raises(ValueError):
-        inlet_pressure(lpm_to_m3s(10.0), lpm_to_m3s(11.0), cfg, CONSTS)
+    for cfg in (make_config(), full_inlet()):
+        with pytest.raises(ValueError):
+            lubricant_column(lpm_to_m3s(10.0), lpm_to_m3s(11.0), cfg, CONSTS)
+        with pytest.raises(ValueError):
+            lubricant_column(lpm_to_m3s(10.0), -1e-6, cfg, CONSTS)
 
 
 def test_closed_injection_line_draws_no_lubricant():
     # below ambient, the full inlet alone would lift the column over the
     # crest; with q2 = 0 the lever holds the line closed
-    cfg = make_config(use_simplified_inlet=False, s_src=2e-5, s_e=2e-5,
-                      p_src=CONSTS.p_atm - 1000.0)
+    cfg = full_inlet(p_src=CONSTS.p_atm - 1000.0)
     q_src = lpm_to_m3s(5.0)
-    assert inlet_pressure(q_src, 0.0, cfg, CONSTS) < -cfg.rho_lub * CONSTS.g * cfg.h_t
+    assert lubricant_column(q_src, 1e-12, cfg, CONSTS) > cfg.h_t
     assert lubricant_column(q_src, 0.0, cfg, CONSTS) == 0.0
     assert lubricant_column(q_src, 0.0, make_config(), CONSTS) == 0.0
 
 
 def test_lubricant_rise_no_suction():
-    assert lubricant_rise(0.0, 0.0, 789.0, 9.81) == 0.0
+    for cfg in (make_config(), full_inlet()):
+        assert lubricant_column(0.0, 0.0, cfg, CONSTS) == 0.0
 
 
 def test_lubricant_rise_clamps_positive_outlet():
-    assert lubricant_rise(500.0, 100.0, 789.0, 9.81) == 0.0
+    # a source 5 kPa above ambient keeps the orifice above ambient at a
+    # small flow: no column, and not a negative one
+    cfg = full_inlet(p_src=CONSTS.p_atm + 5000.0)
+    assert lubricant_column(lpm_to_m3s(10.0), lpm_to_m3s(3.0), cfg, CONSTS) == 0.0
 
 
 def test_lubricant_rise_hydrostatic_balance():
-    # 425.7 Pa of suction lifts ethanol 425.7 / (789 * 9.81) = 55 mm
-    h = lubricant_rise(0.0, 425.7, 789.0, 9.81)
-    assert h == pytest.approx(425.7 / (789.0 * 9.81), rel=1e-12)
+    # the sized orifice's 425.7 Pa of suction at 44 L/min lifts ethanol
+    # 425.7 / (789 * 9.81) = 55 mm
+    cfg = make_config(s_out=1.6181031660101627e-5)
+    q2 = lpm_to_m3s(44.0)
+    h = lubricant_column(q2, q2, cfg, CONSTS)
+    dp = orifice_pressure_drop(q2, cfg.s_in, cfg.s_out, CONSTS.rho_air)
+    assert h == pytest.approx(dp / (789.0 * 9.81), rel=1e-12)
     assert h == pytest.approx(0.055, rel=1e-3)
 
 
@@ -239,6 +264,25 @@ def test_size_orifice_round_trip():
         assert abs(m3s_to_lpm(got) - m3s_to_lpm(target)) <= 0.5
 
 
+def test_size_exhaust_puts_the_composed_onset_on_target():
+    fcs = default_system().fcs
+    c = fcs.gamma * fcs.alpha
+    q2 = lpm_to_m3s(44.0)
+    cfg = full_inlet(s_e=3e-5, p_src=101400.0)
+    cfg = replace(cfg, s_out=size_orifice(q2, cfg, CONSTS))
+    s_e = size_exhaust(q2 / c, cfg, fcs, CONSTS)
+    # with the orifice sized at c = 1 for q2, the exhaust term is
+    # (1 - c^2) / s_src^2, whatever the balance pressure
+    assert s_e == pytest.approx(cfg.s_src * math.sqrt((1.0 - c) / (1.0 + c)), rel=1e-9)
+    onset = activation_threshold(replace(cfg, s_e=s_e), fcs, CONSTS)
+    assert onset == pytest.approx(q2 / c, rel=1e-12)
+    # an orifice a quarter that wide lifts the column over the crest
+    # below the target on its own, and an exhaust only adds suction
+    narrow = replace(cfg, s_out=0.25 * cfg.s_out)
+    with pytest.raises(InfeasibleDesignError, match="no exhaust area s_e can put the injection"):
+        size_exhaust(q2 / c, narrow, fcs, CONSTS)
+
+
 def test_q2_onset_agrees_with_grid_scan():
     rng = np.random.default_rng(6)
     step = 0.05
@@ -273,6 +317,17 @@ def test_config_validation():
         make_config(h_t=0.0)
     with pytest.raises(ValueError):
         make_config(use_simplified_inlet=False)   # missing source geometry
+    # K divides by each area's square, which must neither vanish nor
+    # overflow, nor have an infinite inverse
+    for bad, name in ((dict(s_in=1e-160, s_out=5e-161), "s_in"),
+                      (dict(s_in=1e200, s_out=1e-5), "s_in"),
+                      (dict(discharge_coeff=5e-324), "discharge_coeff"),
+                      (dict(use_simplified_inlet=False, s_src=1e-160, s_e=2e-5,
+                            p_src=1e5), "s_src"),
+                      (dict(use_simplified_inlet=False, s_src=2e-5, s_e=1e300,
+                            p_src=1e5), "s_e")):
+        with pytest.raises(ValueError, match=f"^{re.escape(name)}.*inverse square"):
+            make_config(**bad)
 
 
 def test_lubricant_density_default_and_validated():
@@ -283,5 +338,14 @@ def test_lubricant_density_default_and_validated():
 
 
 def test_effective_area_uses_discharge_coefficient():
-    cfg = make_config(discharge_coeff=0.8)
-    assert effective_orifice_area(cfg) == pytest.approx(0.8 * cfg.s_out)
+    # a lossy orifice pulls like an ideal one of c_d times its area
+    lossy = make_config(discharge_coeff=0.8)
+    ideal = make_config(s_out=0.8 * lossy.s_out)
+    for cfg in (lossy, ideal):
+        assert cfg.discharge_coeff * cfg.s_out == pytest.approx(0.8 * 1.618e-5, rel=1e-15)
+    for q_lpm in (20.0, 44.0, 80.0):
+        q2 = lpm_to_m3s(q_lpm)
+        assert lubricant_column(q2, q2, lossy, CONSTS) == pytest.approx(
+            lubricant_column(q2, q2, ideal, CONSTS), rel=1e-12)
+        assert lubricant_column(q2, q2, lossy, CONSTS) > lubricant_column(
+            q2, q2, make_config(), CONSTS)
