@@ -226,8 +226,12 @@ def _apply(section: str, base: Any, raw: dict, consts: PhysConstants) -> Any:
     try:
         cfg = replace(base, **updates)
         if "q_ab_lpm" in raw:
-            q_ab = lpm_to_m3s(_number(raw["q_ab_lpm"], "fcs.q_ab_lpm"))
-            cfg = replace(cfg, f_rot=calibrate_f_rot(q_ab, cfg, consts))
+            q_ab = _number(raw["q_ab_lpm"], "fcs.q_ab_lpm")
+            f_rot = calibrate_f_rot(lpm_to_m3s(q_ab), cfg, consts)
+            if not math.isfinite(f_rot):    # the jet force at q_ab overflows
+                raise ConfigError(f"fcs.q_ab_lpm: {q_ab:g} L/min calibrates f_rot_N "
+                                  f"to {f_rot}, which must be finite")
+            cfg = replace(cfg, f_rot=f_rot)
     except ValueError as exc:
         raise ConfigError(f"{section}: {exc}") from exc
     return cfg

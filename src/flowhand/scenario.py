@@ -16,6 +16,10 @@ _WRITE_ROWS lines per write, formatting each distinct set of constant
 columns once.  Its time column repeats too: for a short decimal
 timestep of at most 0.1 s, such as 0.01, the times are whole seconds
 joined to a table of fractional suffixes, not a float formatted per row.
+A run of _JOIN_ROWS steps or more makes no time string per row at all:
+every row of one whole second shares the second's digits str(s) and
+differs only in its suffix, so each second of the run is written as one
+join of its suffixes, with the same bytes.
 
 And since the hand has one input, a scenario of thousands of segments
 repeats a few segments and reuses a few operating points: load_scenario
@@ -40,7 +44,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import replace
-from functools import cache
+from functools import cache, lru_cache
 from itertools import chain, count, islice
 from typing import Iterator, NamedTuple
 
@@ -311,6 +315,8 @@ class SegmentRun(NamedTuple):
 _ROW_TAIL = ",{:.6g},{:.6g},{:.6g},{:.6g},{},{:.6g},{:.6g},{:.6g},{},{}\n".format
 # the most lines a streamed to_csv holds before it writes them out
 _WRITE_ROWS = 4096
+# the fewest rows of a run that to_csv joins per second, not per row
+_JOIN_ROWS = 32
 
 
 @cache
@@ -320,31 +326,58 @@ def _suffixes(e: int) -> tuple[str, ...]:
     return ("",) + tuple("." + ("%0*d" % (e, f)).rstrip("0") for f in range(1, 10 ** e))
 
 
-def _time_texts(dt: float) -> Iterator[str]:
-    """The time column: "%.6g" % (k * dt) for k = 0, 1, 2, ..., endlessly.
+@lru_cache(maxsize=64)
+def _time_table(dt: float) -> tuple[int, int, tuple[str, ...], int] | None:
+    """(m, scale, suffixes, stop) when dt is a short decimal m / scale of
+    at most 0.1 s, scale = 10**e: the steps k < stop, where k * m < 10**6,
+    take their time texts from suffixes = _suffixes(e).  None otherwise.
+    Cached, since each resume of the time texts asks; a process sees few
+    timesteps, and the bound keeps one that sees many from growing."""
+    text = repr(dt)
+    if text[:2] == "0." and text[2:].isdigit() and len(text) <= 6 and dt <= 0.1:
+        m, e = int(text[2:]), len(text) - 2
+        return m, 10 ** e, _suffixes(e), -(-1_000_000 // m)
+    return None
+
+
+def _time_texts(dt: float, start: int = 0) -> Iterator[str]:
+    """The time column: "%.6g" % (k * dt) for k = start, start + 1, ...,
+    endlessly.  Lazy: nothing is built before the first next().
 
     When repr(dt) is "0." and at most 4 digits, dt is the double nearest
     m / 10**e with e <= 4, and if it is at most 0.1, a whole second holds
     10 or more steps.  Then, while k * m < 10**6, the texts come from a
-    table: each whole second's block of times is its digits plus the
-    _suffixes(e) it takes.  That is exact.  The decimal k * m / 10**e has
-    at most 6 significant digits, and the float k * dt is within 2**-52
-    relative of it, far inside the 5e-7 relative half-unit of %.6g's
-    rounding, so %.6g prints the decimal; and 10**-4 <= t < 10**6 for
-    k > 0, so %g keeps fixed notation and strips the trailing zeros.
+    table: each whole second's block of times is its digits str(s) plus
+    the _suffixes(e) it takes, so every row of one second shares str(s)
+    and only the suffix differs.  That is exact.  The decimal
+    k * m / 10**e has at most 6 significant digits, and the float k * dt
+    is within 2**-52 relative of it, far inside the 5e-7 relative
+    half-unit of %.6g's rounding, so %.6g prints the decimal; and
+    10**-4 <= t < 10**6 for k > 0, so %g keeps fixed notation and strips
+    the trailing zeros.  SimTrace.to_csv joins a long run's rows per
+    second on the same table and resumes the texts after it.
     Past that, and for every other dt, each time is formatted: a block
     of fewer than about 5 steps costs more than formatting them.
     """
-    text = repr(dt)
-    table, k = (), 0
-    if text[:2] == "0." and text[2:].isdigit() and len(text) <= 6 and dt <= 0.1:
-        m, e = int(text[2:]), len(text) - 2
-        scale, suffixes = 10 ** e, _suffixes(e)
-        # second s starts at the first k * m at or after s * scale
-        table = chain.from_iterable(map(str(s).__add__, suffixes[-s * scale % m::m])
-                                    for s in range(1_000_000 // scale))
-        k = -(-1_000_000 // m)
-    return chain(table, map("%.6g".__mod__, map(dt.__mul__, count(k))))
+    return chain.from_iterable(_time_blocks(dt, start))
+
+
+def _time_blocks(dt: float, start: int) -> Iterator[Iterator[str]]:
+    """_time_texts in blocks: the rest of start's second, then one block
+    per whole second of the table, then the formatted times."""
+    table = _time_table(dt)
+    if table is not None:
+        m, scale, suffixes, stop = table
+        if start < stop:
+            s, f = divmod(start * m, scale)
+            # suffix by suffix, so that resuming for a row or two does
+            # not copy the rest of a second of them
+            yield map(str(s).__add__, map(suffixes.__getitem__, range(f, scale, m)))
+            # second s starts at the first k * m at or after s * scale
+            for s in range(s + 1, 1_000_000 // scale):
+                yield map(str(s).__add__, suffixes[-s * scale % m::m])
+            start = stop
+    yield map("%.6g".__mod__, map(dt.__mul__, count(start)))
 
 
 class SimTrace(NamedTuple):
@@ -381,6 +414,17 @@ class SimTrace(NamedTuple):
         except 0.0 and -0.0, and run_scenario stores no -0.0: Segment
         and the calibration curves drop the sign of zero.
 
+        On a short decimal timestep m / 10**e (see _time_texts), a run
+        of _JOIN_ROWS rows or more skips the time texts for its steps k
+        with k * m < 10**6.  Every row of one whole second s shares the
+        digits str(s), and only the fractional suffix differs, so the
+        run's stretch within one second is the single join
+        str(s) + (tail + str(s)).join(suffixes) + tail over the very
+        _suffixes(e) entries that _time_texts adds str(s) to: the same
+        bytes, with no string made per row.  The time texts resume at
+        the step after.  A shorter run keeps them, since a resume costs
+        about what joining 30 rows saves.
+
         Given a text file, the rows are written to it as they are made,
         at most _WRITE_ROWS lines per write however long a run is, so
         memory does not grow with the row count, and None is returned.
@@ -388,7 +432,10 @@ class SimTrace(NamedTuple):
         """
         sink = io.StringIO() if out is None else out
         low = FrictionState.LOW
-        times = _time_texts(self.timestep)
+        dt = self.timestep
+        times = _time_texts(dt)
+        # without a table, table_stop = 0 and no run joins per second
+        m, scale, suffixes, table_stop = _time_table(dt) or (0, 0, (), 0)
         rows = [CSV_HEADER + "\n"]
         room = _WRITE_ROWS - 1          # lines the buffer takes before a write
         # the fields of a tail, run[2:12] -> the tail, in one table per
@@ -409,6 +456,23 @@ class SimTrace(NamedTuple):
             if n == 1:
                 rows.append(next(times) + tail)
             else:
+                if n >= _JOIN_ROWS and run.first < table_stop:
+                    k, end = run.first, min(run.stop, table_stop)
+                    while k < end:      # one join per second and per write
+                        s, f = divmod(k * m, scale)
+                        c = min(end - k, (scale - 1 - f) // m + 1, room)
+                        sec = str(s)
+                        rows += sec, (tail + sec).join(suffixes[f:f + c * m:m]), tail
+                        k += c
+                        room -= c
+                        if not room:
+                            sink.write("".join(rows))
+                            rows.clear()
+                            room = _WRITE_ROWS
+                    times = _time_texts(dt, k)
+                    n = run.stop - k
+                    if not n:
+                        continue
                 while n > room:         # fill the buffer and write it out
                     rows.append(tail.join(islice(times, room)) + tail)
                     sink.write("".join(rows))

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from flowhand import cli
 from flowhand.cli import main
-from flowhand.config import SCHEMA, load_system
+from flowhand.config import SCHEMA, ConfigError, load_system
 from flowhand.scenario import CSV_HEADER
 
 SCENARIO = {
@@ -646,6 +646,22 @@ def test_vanishing_or_overflowing_coefficient_is_a_config_error(key, values, bas
             for argv, rc, err in probe(key, value, base, scenario_file, tmp_path / "c.json"):
                 assert rc == 1, (value, argv)
                 assert err.startswith("config error: ") and field in err, (value, argv, err)
+
+
+@pytest.mark.parametrize("value", [1e300, 1.7e308])
+def test_overflowing_q_ab_names_q_ab_lpm(value, tmp_path):
+    # the jet force at q_ab overflows to f_rot = inf; the error names the
+    # key the file gave, not the field it calibrates
+    with pytest.raises(ConfigError, match=r"^fcs\.q_ab_lpm: .* f_rot_N to inf"):
+        load_system({"fcs": {"q_ab_lpm": value}})
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"fcs": {"q_ab_lpm": value}}))
+    for argv in (["validate", "--config", str(cfg)],
+                 ["sweep", "--param", "fcs.q_ab_lpm", "--values", repr(value)]):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            assert main(argv) == 1, argv
+        assert err.getvalue().startswith("config error: fcs.q_ab_lpm: "), (argv, err.getvalue())
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

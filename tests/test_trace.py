@@ -25,6 +25,7 @@ from flowhand.fcs import FcsState, steady_outputs
 from flowhand.finger import FingerConfig, bending_radius, chamber_pressure, tip_force
 from flowhand.scenario import (
     _EPS,
+    _JOIN_ROWS,
     _WRITE_ROWS,
     CSV_HEADER,
     EVENTS,
@@ -248,8 +249,11 @@ def windows(dt: float) -> list[tuple[int, int]]:
 
 # short decimals up to 0.1, which take the table up to k * m = 10**6;
 # then longer steps, 5 fractional digits and exponent form, which never do
-@pytest.mark.parametrize("dt", [0.001, 0.005, 0.03, 0.033, 0.1, 0.0001, 0.0003,
-                                0.25, 1.0, 1.1, 2.5, 123.0, 0.00123, 1e-05])
+TABLE_EDGE_TIMESTEPS = [0.001, 0.005, 0.03, 0.033, 0.1, 0.0001, 0.0003,
+                        0.25, 1.0, 1.1, 2.5, 123.0, 0.00123, 1e-05]
+
+
+@pytest.mark.parametrize("dt", TABLE_EDGE_TIMESTEPS)
 def test_time_table_matches_format_near_its_edges(dt):
     texts = _time_texts(dt)
     at = 0
@@ -267,6 +271,86 @@ def test_times_in_exponent_form(dt, runs, time):
     times = [line.split(",", 1)[0] for line in
              run_scenario(held_scenario(dt, runs)).to_csv().splitlines()[1:]]
     assert time in times
+
+
+@pytest.mark.parametrize("dt", TABLE_EDGE_TIMESTEPS)
+def test_time_texts_from_a_start_step_match_the_whole_column(dt):
+    # _time_texts(dt, k) is islice(_time_texts(dt), k, None): from every
+    # step of each window a few texts, and from a few steps the rest of
+    # the window, across its second and table edges
+    texts = _time_texts(dt)
+    at = 0
+    for lo, hi in windows(dt):
+        want = list(islice(texts, lo - at, hi - at))   # islice(_time_texts(dt), lo, hi)
+        at = hi
+        for k in range(lo, hi):
+            assert list(islice(_time_texts(dt, k), min(3, hi - k))) == want[k - lo:k - lo + 3], (dt, k)
+        for k in range(lo, hi, 499):
+            assert list(islice(_time_texts(dt, k), hi - k)) == want[k - lo:], (dt, k)
+
+
+def streamed_writes(trace) -> list[str]:
+    writes = []
+
+    class Sink:
+        def write(self, text):
+            writes.append(text)
+
+    trace.to_csv(Sink())
+    return writes
+
+
+# each case holds runs of _JOIN_ROWS rows or more, which to_csv writes a
+# whole second at a time; (steps, command) per segment
+JOINED = {
+    # a second is 10**4 rows, so one second of this run spans three writes
+    "one second over several writes": (0.0001, [(25_000, 30.0)]),
+    # 3, 33 and 7 do not divide 100, 1000 and 10**4: the runs start at
+    # every offset into a second
+    "mid-second starts, dt = 0.03": (0.03, [(5, 30.0), (100, 150.0), (7, 0.0), (61, 30.0),
+                                            (1, 150.0), (233, 5.0)]),
+    "mid-second starts, dt = 0.033": (0.033, [(17, 30.0), (95, 150.0), (40, 0.0), (1, 30.0),
+                                              (300, 5.0)]),
+    "mid-second starts, dt = 0.0007": (0.0007, [(3, 30.0), (2000, 150.0), (1500, 0.0),
+                                                (1, 30.0), (5000, 5.0)]),
+    # k * m = 10**6 at step 1002 of dt = 0.0999: the run crosses into
+    # the formatted times, and the rows after it stay there
+    "a run across the table's end": (0.0999, [(990, 30.0), (40, 150.0), (1, 0.0), (40, 5.0)]),
+    # the time texts resume after each joined run
+    "one-row runs after joined ones": (0.01, [(500, 30.0), (1, 150.0), (1, 0.0), (2, 30.0),
+                                              (300, 5.0), (1, 150.0), (3, 0.0), (64, 5.0),
+                                              (_JOIN_ROWS - 1, 30.0)]),
+    "runs at the threshold": (0.01, [(_JOIN_ROWS - 1, 30.0), (_JOIN_ROWS, 150.0), (1, 0.0),
+                                     (_JOIN_ROWS + 1, 5.0), (_JOIN_ROWS, 30.0),
+                                     (_JOIN_ROWS - 1, 150.0), (_JOIN_ROWS + 1, 0.0)]),
+}
+
+
+@pytest.mark.parametrize("dt, runs", JOINED.values(), ids=JOINED.keys())
+def test_joined_runs_match_row_by_row_formatting(dt, runs):
+    trace = run_scenario(held_scenario(dt, runs))
+    assert [run.stop - run.first for run in trace.runs] == [steps for steps, _ in runs]
+    writes = streamed_writes(trace)
+    assert max(text.count("\n") for text in writes) <= _WRITE_ROWS
+    text = "".join(writes)
+    assert text.splitlines(True) == row_by_row_csv(trace).splitlines(True)
+    assert trace.to_csv() == text
+
+
+def test_joined_run_across_a_million_steps_at_a_tenth_of_a_second(monkeypatch):
+    # at dt = 0.1 the table ends at step 10**6, inside the second run;
+    # the rows around it against the oracle over those steps alone, and
+    # the whole text against rows whose times are made one by one
+    trace = run_scenario(held_scenario(0.1, [(999_990, 30.0), (40, 150.0), (1, 0.0),
+                                             (40, 5.0)]))
+    writes = streamed_writes(trace)
+    assert max(text.count("\n") for text in writes) <= _WRITE_ROWS
+    lines = "".join(writes).splitlines(True)
+    around = SimTrace("tail", 0.1, tuple(
+        run._replace(first=max(run.first, 999_900)) for run in trace.runs if run.stop > 999_900))
+    assert lines[1 + 999_900:] == row_by_row_csv(around).splitlines(True)[1:]
+    monkeypatch.setattr(scenario_module, "_JOIN_ROWS", MAX_ROWS + 1)
+    assert "".join(lines) == trace.to_csv()
 
 
 # --- one evaluation per distinct command ------------------------------
