@@ -30,10 +30,10 @@ from typing import Any
 
 from .core import (
     ConfigError,
+    LPM_PER_M3S,
     PhysConstants,
     PiecewiseLinearCurve,
     kpa_to_pa,
-    lpm_to_m3s,
     m2_to_mm2,
     m_to_mm,
     mm2_to_m2,
@@ -227,7 +227,11 @@ def _apply(section: str, base: Any, raw: dict, consts: PhysConstants) -> Any:
         cfg = replace(base, **updates)
         if "q_ab_lpm" in raw:
             q_ab = _number(raw["q_ab_lpm"], "fcs.q_ab_lpm")
-            f_rot = calibrate_f_rot(lpm_to_m3s(q_ab), cfg, consts)
+            q = q_ab / LPM_PER_M3S
+            if not q > 0:                   # 1e-320 L/min is 0 m^3/s
+                raise ConfigError(f"fcs.q_ab_lpm: {q_ab!r} L/min is {q!r} m^3/s, "
+                                  f"which must be > 0")
+            f_rot = calibrate_f_rot(q, cfg, consts)
             if not math.isfinite(f_rot):    # the jet force at q_ab overflows
                 raise ConfigError(f"fcs.q_ab_lpm: {q_ab:g} L/min calibrates f_rot_N "
                                   f"to {f_rot}, which must be finite")

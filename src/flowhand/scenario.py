@@ -14,12 +14,11 @@ plus the range of timesteps it covers, and never one object per step.
 SimTrace.to_csv expands the rows while it writes them, at most
 _WRITE_ROWS lines per write, formatting each distinct set of constant
 columns once.  Its time column repeats too: for a short decimal
-timestep of at most 0.1 s, such as 0.01, the times are whole seconds
-joined to a table of fractional suffixes, not a float formatted per row.
-A run of _JOIN_ROWS steps or more makes no time string per row at all:
-every row of one whole second shares the second's digits str(s) and
-differs only in its suffix, so each second of the run is written as one
-join of its suffixes, with the same bytes.
+timestep of at most 0.1 s, such as 0.01, every row of one whole second
+shares the second's digits str(s) and differs only in a fractional
+suffix from a table, so one loop writes each run's stretch within one
+second as one join of its suffixes, with the bytes a float formatted
+per row would give and no time string made per row.
 
 And since the hand has one input, a scenario of thousands of segments
 repeats a few segments and reuses a few operating points: load_scenario
@@ -44,9 +43,8 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import replace
-from functools import cache, lru_cache
-from itertools import chain, count, islice
-from typing import Iterator, NamedTuple
+from functools import cache
+from typing import NamedTuple
 
 from .config import ConfigError, _float, _number, apply_override, read_json
 from .core import (
@@ -315,8 +313,6 @@ class SegmentRun(NamedTuple):
 _ROW_TAIL = ",{:.6g},{:.6g},{:.6g},{:.6g},{},{:.6g},{:.6g},{:.6g},{},{}\n".format
 # the most lines a streamed to_csv holds before it writes them out
 _WRITE_ROWS = 4096
-# the fewest rows of a run that to_csv joins per second, not per row
-_JOIN_ROWS = 32
 
 
 @cache
@@ -326,13 +322,21 @@ def _suffixes(e: int) -> tuple[str, ...]:
     return ("",) + tuple("." + ("%0*d" % (e, f)).rstrip("0") for f in range(1, 10 ** e))
 
 
-@lru_cache(maxsize=64)
 def _time_table(dt: float) -> tuple[int, int, tuple[str, ...], int] | None:
-    """(m, scale, suffixes, stop) when dt is a short decimal m / scale of
-    at most 0.1 s, scale = 10**e: the steps k < stop, where k * m < 10**6,
-    take their time texts from suffixes = _suffixes(e).  None otherwise.
-    Cached, since each resume of the time texts asks; a process sees few
-    timesteps, and the bound keeps one that sees many from growing."""
+    """(m, scale, suffixes, stop) when dt is a short decimal m / scale,
+    scale = 10**e, of at most 0.1 s; None otherwise.
+
+    When repr(dt) is "0." and at most 4 digits, dt is the double nearest
+    m / 10**e with e <= 4, and if it is at most 0.1, a whole second holds
+    10 or more steps.  Then for the steps k < stop, where k * m < 10**6,
+    "%.6g" % (k * dt) is str(s) + suffixes[f] for k * m = s * scale + f
+    and suffixes = _suffixes(e).  That is exact.  The decimal
+    k * m / 10**e has at most 6 significant digits, and the float k * dt
+    is within 2**-52 relative of it, far inside the 5e-7 relative
+    half-unit of %.6g's rounding, so %.6g prints the decimal; and
+    10**-4 <= t < 10**6 for k > 0, so %g keeps fixed notation and strips
+    the trailing zeros.
+    """
     text = repr(dt)
     if text[:2] == "0." and text[2:].isdigit() and len(text) <= 6 and dt <= 0.1:
         m, e = int(text[2:]), len(text) - 2
@@ -340,51 +344,11 @@ def _time_table(dt: float) -> tuple[int, int, tuple[str, ...], int] | None:
     return None
 
 
-def _time_texts(dt: float, start: int = 0) -> Iterator[str]:
-    """The time column: "%.6g" % (k * dt) for k = start, start + 1, ...,
-    endlessly.  Lazy: nothing is built before the first next().
-
-    When repr(dt) is "0." and at most 4 digits, dt is the double nearest
-    m / 10**e with e <= 4, and if it is at most 0.1, a whole second holds
-    10 or more steps.  Then, while k * m < 10**6, the texts come from a
-    table: each whole second's block of times is its digits str(s) plus
-    the _suffixes(e) it takes, so every row of one second shares str(s)
-    and only the suffix differs.  That is exact.  The decimal
-    k * m / 10**e has at most 6 significant digits, and the float k * dt
-    is within 2**-52 relative of it, far inside the 5e-7 relative
-    half-unit of %.6g's rounding, so %.6g prints the decimal; and
-    10**-4 <= t < 10**6 for k > 0, so %g keeps fixed notation and strips
-    the trailing zeros.  SimTrace.to_csv joins a long run's rows per
-    second on the same table and resumes the texts after it.
-    Past that, and for every other dt, each time is formatted: a block
-    of fewer than about 5 steps costs more than formatting them.
-    """
-    return chain.from_iterable(_time_blocks(dt, start))
-
-
-def _time_blocks(dt: float, start: int) -> Iterator[Iterator[str]]:
-    """_time_texts in blocks: the rest of start's second, then one block
-    per whole second of the table, then the formatted times."""
-    table = _time_table(dt)
-    if table is not None:
-        m, scale, suffixes, stop = table
-        if start < stop:
-            s, f = divmod(start * m, scale)
-            # suffix by suffix, so that resuming for a row or two does
-            # not copy the rest of a second of them
-            yield map(str(s).__add__, map(suffixes.__getitem__, range(f, scale, m)))
-            # second s starts at the first k * m at or after s * scale
-            for s in range(s + 1, 1_000_000 // scale):
-                yield map(str(s).__add__, suffixes[-s * scale % m::m])
-            start = stop
-    yield map("%.6g".__mod__, map(dt.__mul__, count(start)))
-
-
 class SimTrace(NamedTuple):
     """One run per segment plus the outcomes of any task events.
 
     Step k of the trace is at time k * timestep; a run covers the steps
-    first .. stop-1, and the runs cover every step in order.
+    first .. stop-1, and the runs cover every step in order from step 0.
     """
 
     name: str
@@ -407,23 +371,20 @@ class SimTrace(NamedTuple):
     def to_csv(self, out=None) -> str | None:
         """The trace as CSV, one row per step.
 
-        A row is the time text plus a tail of the run's constant
-        columns.  Each distinct tail is formatted once per call, and the
-        times come from _time_texts in step order, so a run of n rows is
-        its n times joined by its tail.  Equal fields give equal text
-        except 0.0 and -0.0, and run_scenario stores no -0.0: Segment
-        and the calibration curves drop the sign of zero.
+        The row of step k is its time "%.6g" % (k * dt) plus a tail of its
+        run's constant columns, each distinct tail formatted once per
+        call.  Equal fields give equal text except 0.0 and -0.0, and
+        run_scenario stores no -0.0: Segment and the calibration curves
+        drop the sign of zero.
 
-        On a short decimal timestep m / 10**e (see _time_texts), a run
-        of _JOIN_ROWS rows or more skips the time texts for its steps k
-        with k * m < 10**6.  Every row of one whole second s shares the
-        digits str(s), and only the fractional suffix differs, so the
-        run's stretch within one second is the single join
-        str(s) + (tail + str(s)).join(suffixes) + tail over the very
-        _suffixes(e) entries that _time_texts adds str(s) to: the same
-        bytes, with no string made per row.  The time texts resume at
-        the step after.  A shorter run keeps them, since a resume costs
-        about what joining 30 rows saves.
+        One loop writes each run in chunks, a chunk being the part of a
+        run within one whole second and one write.  Where _time_table
+        gives suffixes, a chunk of c rows in second s is the single join
+        str(s) + (tail + str(s)).join(suffixes[f:f + c*m:m]) + tail, with
+        no string made per row; s and f carry from run to run, since the
+        runs cover every step in order from step 0.  Elsewhere a chunk is
+        its formatted times joined by its tail.  A one-row chunk is its
+        time text plus its tail.
 
         Given a text file, the rows are written to it as they are made,
         at most _WRITE_ROWS lines per write however long a run is, so
@@ -433,9 +394,12 @@ class SimTrace(NamedTuple):
         sink = io.StringIO() if out is None else out
         low = FrictionState.LOW
         dt = self.timestep
-        times = _time_texts(dt)
-        # without a table, table_stop = 0 and no run joins per second
+        # without a table, table_stop = 0 and every time is formatted; with
+        # one, table_stop is where second 10**6 // scale starts, so no
+        # chunk of the table crosses it
         m, scale, suffixes, table_stop = _time_table(dt) or (0, 0, (), 0)
+        # the next step of the table is in second s, at k * m = s * scale + f
+        s, f, sec = 0, 0, "0"
         rows = [CSV_HEADER + "\n"]
         room = _WRITE_ROWS - 1          # lines the buffer takes before a write
         # the fields of a tail, run[2:12] -> the tail, in one table per
@@ -452,39 +416,31 @@ class SimTrace(NamedTuple):
                     m3s_to_lpm(run.q_exhaust), run.state.name, pa_to_kpa(run.p_f),
                     m_to_mm(run.r), run.f_tip, "1" if run.injection else "0",
                     run.friction.value)
-            n = run.stop - run.first
-            if n == 1:
-                rows.append(next(times) + tail)
-            else:
-                if n >= _JOIN_ROWS and run.first < table_stop:
-                    k, end = run.first, min(run.stop, table_stop)
-                    while k < end:      # one join per second and per write
-                        s, f = divmod(k * m, scale)
-                        c = min(end - k, (scale - 1 - f) // m + 1, room)
-                        sec = str(s)
+            k, stop = run.first, run.stop
+            while k < stop:
+                c = stop - k
+                if k < table_stop:
+                    if c == 1:
+                        rows.append(sec + suffixes[f] + tail)
+                    else:
+                        c = min(c, (scale - 1 - f) // m + 1, room)
                         rows += sec, (tail + sec).join(suffixes[f:f + c * m:m]), tail
-                        k += c
-                        room -= c
-                        if not room:
-                            sink.write("".join(rows))
-                            rows.clear()
-                            room = _WRITE_ROWS
-                    times = _time_texts(dt, k)
-                    n = run.stop - k
-                    if not n:
-                        continue
-                while n > room:         # fill the buffer and write it out
-                    rows.append(tail.join(islice(times, room)) + tail)
+                    f += c * m
+                    if f >= scale:
+                        s += 1
+                        f -= scale
+                        sec = str(s)
+                elif c == 1:
+                    rows.append("%.6g" % (k * dt) + tail)
+                else:
+                    c = min(c, room)
+                    rows += tail.join(["%.6g" % (j * dt) for j in range(k, k + c)]), tail
+                k += c
+                room -= c
+                if not room:
                     sink.write("".join(rows))
                     rows.clear()
-                    n -= room
                     room = _WRITE_ROWS
-                rows.append(tail.join(islice(times, n)) + tail)
-            room -= n
-            if not room:
-                sink.write("".join(rows))
-                rows.clear()
-                room = _WRITE_ROWS
         sink.write("".join(rows))
         return sink.getvalue() if out is None else None
 

@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -648,11 +649,16 @@ def test_vanishing_or_overflowing_coefficient_is_a_config_error(key, values, bas
                 assert err.startswith("config error: ") and field in err, (value, argv, err)
 
 
-@pytest.mark.parametrize("value", [1e300, 1.7e308])
-def test_overflowing_q_ab_names_q_ab_lpm(value, tmp_path):
-    # the jet force at q_ab overflows to f_rot = inf; the error names the
-    # key the file gave, not the field it calibrates
-    with pytest.raises(ConfigError, match=r"^fcs\.q_ab_lpm: .* f_rot_N to inf"):
+@pytest.mark.parametrize("value, why", [
+    (1e300, "L/min calibrates f_rot_N to inf"), (1.7e308, "L/min calibrates f_rot_N to inf"),
+    (0.0, "L/min is 0.0 m^3/s"), (-3.0, "L/min is -5e-05 m^3/s"),
+    (1e-320, "L/min is 0.0 m^3/s"),
+], ids=["1e+300", "1.7e+308", "0", "-3", "1e-320"])
+def test_overflowing_q_ab_names_q_ab_lpm(value, why, tmp_path):
+    # the jet force at q_ab overflows to f_rot = inf, or q_ab is no flow
+    # at all once in m^3/s (1e-320 L/min rounds to 0); the error names
+    # the key the file gave, in its L/min, not the field it calibrates
+    with pytest.raises(ConfigError, match="^" + re.escape(f"fcs.q_ab_lpm: {value!r} {why}")):
         load_system({"fcs": {"q_ab_lpm": value}})
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"fcs": {"q_ab_lpm": value}}))

@@ -12,7 +12,7 @@ the CSV.
 import io
 import math
 from dataclasses import replace
-from itertools import islice
+from itertools import cycle
 
 import pytest
 from hypothesis import example, given, settings
@@ -25,7 +25,6 @@ from flowhand.fcs import FcsState, steady_outputs
 from flowhand.finger import FingerConfig, bending_radius, chamber_pressure, tip_force
 from flowhand.scenario import (
     _EPS,
-    _JOIN_ROWS,
     _WRITE_ROWS,
     CSV_HEADER,
     EVENTS,
@@ -37,7 +36,6 @@ from flowhand.scenario import (
     SimulationError,
     _run_event,
     _step_stop,
-    _time_texts,
     load_scenario,
     run_scenario,
 )
@@ -214,12 +212,40 @@ def test_percent_formatted_times_match_format(dt, runs):
     assert streamed.getvalue().splitlines(True) == text.splitlines(True)
 
 
+def cut_trace(dt: float, cuts) -> SimTrace:
+    """A trace from step 0 of one held run between each two cuts in turn."""
+    run = run_scenario(held_scenario(0.01, [(1, 30.0)])).runs[0]
+    cuts = sorted({0, *cuts})
+    return SimTrace("cuts", dt, tuple(run._replace(first=a, stop=b)
+                                      for a, b in zip(cuts, cuts[1:])))
+
+
+def assert_streamed_times(trace, spans) -> None:
+    """Streams trace.to_csv and checks each write as it comes: at most
+    _WRITE_ROWS lines, and the row of each step k in the spans (lo, hi)
+    starts with "%.6g" % (k * dt)."""
+    dt, at = trace.timestep, -1         # the step of the write's first line; -1 is the header
+
+    class Sink:
+        def write(self, text):
+            nonlocal at
+            n = text.count("\n")
+            assert n <= _WRITE_ROWS
+            lines = None
+            for lo, hi in spans:
+                lo, hi = max(lo, at), min(hi, at + n)
+                if lo < hi:
+                    lines = lines or text.splitlines()
+                    got = [line.split(",", 1)[0] for line in lines[lo - at:hi - at]]
+                    assert got == ["%.6g" % (k * dt) for k in range(lo, hi)], (dt, lo, hi)
+            at += n
+
+    trace.to_csv(Sink())
+    assert at == trace.runs[-1].stop
+
+
 def test_time_table_matches_format_at_every_step():
-    dt = 0.01
-    texts = _time_texts(dt)
-    for lo in range(0, MAX_ROWS + 1, 100_000):
-        hi = min(lo + 100_000, MAX_ROWS + 1)
-        assert list(islice(texts, hi - lo)) == ["%.6g" % (k * dt) for k in range(lo, hi)], lo
+    assert_streamed_times(cut_trace(0.01, [MAX_ROWS + 1]), [(0, MAX_ROWS + 1)])
 
 
 def windows(dt: float) -> list[tuple[int, int]]:
@@ -255,12 +281,30 @@ TABLE_EDGE_TIMESTEPS = [0.001, 0.005, 0.03, 0.033, 0.1, 0.0001, 0.0003,
 
 @pytest.mark.parametrize("dt", TABLE_EDGE_TIMESTEPS)
 def test_time_table_matches_format_near_its_edges(dt):
-    texts = _time_texts(dt)
-    at = 0
-    for lo, hi in windows(dt):
-        got = list(islice(texts, lo - at, hi - at))
-        assert got == ["%.6g" % (k * dt) for k in range(lo, hi)], (dt, lo, hi)
-        at = hi
+    # a one-row run at every step of each window, one run over each gap
+    spans = windows(dt)
+    assert_streamed_times(cut_trace(dt, [k for lo, hi in spans for k in range(lo, hi + 1)]),
+                          spans)
+
+
+@pytest.mark.parametrize("dt", TABLE_EDGE_TIMESTEPS)
+def test_time_texts_from_a_start_step_match_the_whole_column(dt):
+    # runs of 3 rows that start at every step of each window, over one
+    # trace per offset, then runs of lengths that cycle through 1 ... 499,
+    # across the windows' second and table edges
+    spans = windows(dt)
+    for offset in range(3):
+        cuts = [k for lo, hi in spans for k in (lo, *range(lo + offset, hi, 3), hi)]
+        assert_streamed_times(cut_trace(dt, cuts), spans)
+    cuts = []
+    for lo, hi in spans:
+        k = lo
+        for length in cycle((5, 2, 40, 7, 1, 499, 3, 11)):
+            cuts.append(k)
+            if k >= hi:
+                break
+            k = min(k + length, hi)
+    assert_streamed_times(cut_trace(dt, cuts), spans)
 
 
 @pytest.mark.parametrize("dt, runs, time", [
@@ -271,22 +315,6 @@ def test_times_in_exponent_form(dt, runs, time):
     times = [line.split(",", 1)[0] for line in
              run_scenario(held_scenario(dt, runs)).to_csv().splitlines()[1:]]
     assert time in times
-
-
-@pytest.mark.parametrize("dt", TABLE_EDGE_TIMESTEPS)
-def test_time_texts_from_a_start_step_match_the_whole_column(dt):
-    # _time_texts(dt, k) is islice(_time_texts(dt), k, None): from every
-    # step of each window a few texts, and from a few steps the rest of
-    # the window, across its second and table edges
-    texts = _time_texts(dt)
-    at = 0
-    for lo, hi in windows(dt):
-        want = list(islice(texts, lo - at, hi - at))   # islice(_time_texts(dt), lo, hi)
-        at = hi
-        for k in range(lo, hi):
-            assert list(islice(_time_texts(dt, k), min(3, hi - k))) == want[k - lo:k - lo + 3], (dt, k)
-        for k in range(lo, hi, 499):
-            assert list(islice(_time_texts(dt, k), hi - k)) == want[k - lo:], (dt, k)
 
 
 def streamed_writes(trace) -> list[str]:
@@ -300,8 +328,8 @@ def streamed_writes(trace) -> list[str]:
     return writes
 
 
-# each case holds runs of _JOIN_ROWS rows or more, which to_csv writes a
-# whole second at a time; (steps, command) per segment
+# each case holds runs long enough that to_csv writes a whole second of
+# them in one join; (steps, command) per segment
 JOINED = {
     # a second is 10**4 rows, so one second of this run spans three writes
     "one second over several writes": (0.0001, [(25_000, 30.0)]),
@@ -316,13 +344,10 @@ JOINED = {
     # k * m = 10**6 at step 1002 of dt = 0.0999: the run crosses into
     # the formatted times, and the rows after it stay there
     "a run across the table's end": (0.0999, [(990, 30.0), (40, 150.0), (1, 0.0), (40, 5.0)]),
-    # the time texts resume after each joined run
+    # the second carries from run to run, whatever their lengths
     "one-row runs after joined ones": (0.01, [(500, 30.0), (1, 150.0), (1, 0.0), (2, 30.0),
                                               (300, 5.0), (1, 150.0), (3, 0.0), (64, 5.0),
-                                              (_JOIN_ROWS - 1, 30.0)]),
-    "runs at the threshold": (0.01, [(_JOIN_ROWS - 1, 30.0), (_JOIN_ROWS, 150.0), (1, 0.0),
-                                     (_JOIN_ROWS + 1, 5.0), (_JOIN_ROWS, 30.0),
-                                     (_JOIN_ROWS - 1, 150.0), (_JOIN_ROWS + 1, 0.0)]),
+                                              (31, 30.0)]),
 }
 
 
@@ -337,20 +362,19 @@ def test_joined_runs_match_row_by_row_formatting(dt, runs):
     assert trace.to_csv() == text
 
 
-def test_joined_run_across_a_million_steps_at_a_tenth_of_a_second(monkeypatch):
+def test_joined_run_across_a_million_steps_at_a_tenth_of_a_second():
     # at dt = 0.1 the table ends at step 10**6, inside the second run;
     # the rows around it against the oracle over those steps alone, and
-    # the whole text against rows whose times are made one by one
+    # every row before them against the time and the tail they must have
     trace = run_scenario(held_scenario(0.1, [(999_990, 30.0), (40, 150.0), (1, 0.0),
                                              (40, 5.0)]))
-    writes = streamed_writes(trace)
-    assert max(text.count("\n") for text in writes) <= _WRITE_ROWS
-    lines = "".join(writes).splitlines(True)
+    assert_streamed_times(trace, [(0, 999_900)])
+    lines = trace.to_csv().splitlines(True)
     around = SimTrace("tail", 0.1, tuple(
         run._replace(first=max(run.first, 999_900)) for run in trace.runs if run.stop > 999_900))
     assert lines[1 + 999_900:] == row_by_row_csv(around).splitlines(True)[1:]
-    monkeypatch.setattr(scenario_module, "_JOIN_ROWS", MAX_ROWS + 1)
-    assert "".join(lines) == trace.to_csv()
+    assert {line.split(",", 1)[1] for line in lines[1:1 + 999_900]} == {
+        lines[1 + 999_900].split(",", 1)[1]}
 
 
 # --- one evaluation per distinct command ------------------------------
