@@ -143,7 +143,6 @@ _TABLE: dict[str, dict[str, tuple[str, tuple]]] = {
         "f_rot_N": ("f_rot", _NUMBER),
         "q_ab_lpm": ("f_rot", _NUMBER),
         "f_block_knots": ("f_block_curve", _CURVE),
-        "exhaust_port_mm2": ("exhaust_port_area", _AREA),
     },
     "venturi": {
         "s_in_mm2": ("s_in", _AREA),
@@ -266,8 +265,8 @@ def system_to_dict(system: SystemConfig) -> dict:
     """The system in config-file form (bench units); load_system round-trips it.
 
     Keys come in table order.  f_rot_N carries the lever onset, so
-    q_ab_lpm is never emitted, and a field left None (the exhaust port
-    and the full-inlet feed) emits no key.
+    q_ab_lpm is never emitted, and a field left None (the full-inlet
+    feed) emits no key.
     """
     out: dict[str, Any] = {}
     for section, rows in _TABLE.items():
@@ -282,6 +281,14 @@ def system_to_dict(system: SystemConfig) -> dict:
     return out
 
 
+def _config_path(path: str) -> list[str]:
+    """[section, key] of a dotted config path; an unknown path is a ConfigError."""
+    parts = path.split(".")
+    if len(parts) != 2 or parts[0] not in SCHEMA or parts[1] not in SCHEMA[parts[0]]:
+        raise ConfigError(f"unknown config path '{path}'")
+    return parts
+
+
 def apply_override(system: SystemConfig, path: str, value: Any) -> SystemConfig:
     """The system with one config key replaced, addressed as 'section.key'.
 
@@ -290,9 +297,6 @@ def apply_override(system: SystemConfig, path: str, value: Any) -> SystemConfig:
     and s3) apply as they do in a file; every other field is kept.
     Unknown paths are errors.
     """
-    parts = path.split(".")
-    if len(parts) != 2 or parts[0] not in SCHEMA or parts[1] not in SCHEMA[parts[0]]:
-        raise ConfigError(f"unknown config path '{path}'")
-    section, key = parts
+    section, key = _config_path(path)
     cfg = _apply(section, getattr(system, section), {key: value}, system.consts)
     return replace(system, **{section: cfg})

@@ -48,7 +48,8 @@ class FcsConfig:
     """Geometry and calibration of one switching-lever build.
 
     alpha    fraction of the source flow diverted to the jet tube; set
-             physically by the exhaust-port size (larger port, larger alpha)
+             physically by the exhaust-port size (larger port, larger
+             alpha), which no field carries: alpha is given directly
     epsilon  lever arm ratio turning the jet force into the pinch force
     s3       jet tube cross-section [m^2]
     f_rot    jet force at which the lever starts to rotate (A -> B) [N]
@@ -57,8 +58,6 @@ class FcsConfig:
     f_block_curve  pinch force needed to close the finger line, as a
              function of the flow it carries [x: L/min, y: N]; no force
              is negative and the extended last piece does not fall
-    exhaust_port_area  port cross-section [m^2]; recorded metadata only,
-             the alpha it produces is configured directly
 
     Every number is finite.
     """
@@ -69,7 +68,6 @@ class FcsConfig:
     f_rot: float
     f_block_curve: PiecewiseLinearCurve
     gamma: float
-    exhaust_port_area: float | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
@@ -92,9 +90,6 @@ class FcsConfig:
         if len(forces) > 1 and forces[-1] < forces[-2]:
             raise ValueError("f_block_curve must not fall on its last piece, which extends "
                              f"to every higher flow: {forces[-2]} -> {forces[-1]} N")
-        area = self.exhaust_port_area
-        if area is not None and not 0.0 <= area < math.inf:
-            raise ValueError(f"exhaust_port_area must be finite and >= 0, got {area}")
 
 
 class FcsOutputs(NamedTuple):

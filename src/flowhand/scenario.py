@@ -46,7 +46,7 @@ from dataclasses import replace
 from functools import cache
 from typing import NamedTuple
 
-from .config import ConfigError, _float, _number, apply_override, read_json
+from .config import ConfigError, _config_path, _float, _number, apply_override, read_json
 from .core import (
     LPM_PER_M3S,
     PhysConstants,
@@ -381,10 +381,10 @@ class SimTrace(NamedTuple):
         run within one whole second and one write.  Where _time_table
         gives suffixes, a chunk of c rows in second s is the single join
         str(s) + (tail + str(s)).join(suffixes[f:f + c*m:m]) + tail, with
-        no string made per row; s and f carry from run to run, since the
-        runs cover every step in order from step 0.  Elsewhere a chunk is
-        its formatted times joined by its tail.  A one-row chunk is its
-        time text plus its tail.
+        no string made per row.  Elsewhere a chunk is its formatted
+        times joined by its tail.  A one-row chunk is its time text plus
+        its tail.  k, s and f carry from run to run, from step 0; a run
+        that does not start at the step k is a ValueError.
 
         Given a text file, the rows are written to it as they are made,
         at most _WRITE_ROWS lines per write however long a run is, so
@@ -398,8 +398,8 @@ class SimTrace(NamedTuple):
         # one, table_stop is where second 10**6 // scale starts, so no
         # chunk of the table crosses it
         m, scale, suffixes, table_stop = _time_table(dt) or (0, 0, (), 0)
-        # the next step of the table is in second s, at k * m = s * scale + f
-        s, f, sec = 0, 0, "0"
+        # the next step k, in the table in second s at k * m = s * scale + f
+        k, s, f, sec = 0, 0, 0, "0"
         rows = [CSV_HEADER + "\n"]
         room = _WRITE_ROWS - 1          # lines the buffer takes before a write
         # the fields of a tail, run[2:12] -> the tail, in one table per
@@ -407,6 +407,9 @@ class SimTrace(NamedTuple):
         # FrictionState, whose hash runs in Python
         tables: tuple[dict, dict] = ({}, {})
         for run in self.runs:
+            if run.first != k:
+                raise ValueError(f"a run starts at step {run.first}, not {k}: the runs "
+                                 "must cover every step in order from step 0")
             tails = tables[run.friction is low]
             key = run[2:11]
             tail = tails.get(key)
@@ -416,7 +419,7 @@ class SimTrace(NamedTuple):
                     m3s_to_lpm(run.q_exhaust), run.state.name, pa_to_kpa(run.p_f),
                     m_to_mm(run.r), run.f_tip, "1" if run.injection else "0",
                     run.friction.value)
-            k, stop = run.first, run.stop
+            stop = run.stop
             while k < stop:
                 c = stop - k
                 if k < table_stop:
@@ -649,8 +652,10 @@ def sweep(
     recalibration rules hold), then the three operating thresholds are
     extracted; with a scenario, a run per value adds its final state,
     whether injection ever fired, and the peak finger pressure.  Rows
-    keep the input order.
+    keep the input order.  An unknown key is a ConfigError, with or
+    without values.
     """
+    _config_path(param)
     base = system or default_system()
     rows = []
     for value in values:

@@ -174,7 +174,6 @@ def prototype_fcs_config(label: str) -> FcsConfig:
         f_rot=f_rot,
         f_block_curve=curve,
         gamma=reference_gamma(),
-        exhaust_port_area=spec.exhaust_port_area,
     )
 
 

@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import re
 import tempfile
 from pathlib import Path
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from flowhand import cli
 from flowhand.cli import main
-from flowhand.config import SCHEMA, ConfigError, load_system
+from flowhand.config import SCHEMA, ConfigError, load_system, system_to_dict
 from flowhand.scenario import CSV_HEADER
 
 SCENARIO = {
@@ -100,6 +101,25 @@ def test_sweep_with_scenario(scenario_file, capsys):
 def test_sweep_bad_value(capsys):
     assert main(["sweep", "--param", "fcs.epsilon", "--values", "2.6,xyz"]) == 1
     assert "not a number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("values", ["5", ","])
+@pytest.mark.parametrize("param", ["bogus.key", "fcs.exhaust_port_mm2"])
+def test_sweep_unknown_param_exits_1(param, values, capsys):
+    # "," is no values at all, and the key is still checked
+    assert main(["sweep", "--param", param, "--values", values]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: unknown config path '{param}'\n"
+
+
+def test_exhaust_port_is_no_config_key(tmp_path, capsys):
+    # alpha carries what the port sets; a file that still gives the port
+    # is refused, not silently read
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"fcs": {"exhaust_port_mm2": 7.1}}))
+    assert main(["validate", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == "config error: unknown config key 'fcs.exhaust_port_mm2'\n"
 
 
 def test_design_search_defaults(capsys):
@@ -303,8 +323,8 @@ def test_duplicate_key_exits_1(argv, text, key, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("path", [
-    "fcs.s3_mm2", "fcs.exhaust_port_mm2", "venturi.s_in_mm2", "venturi.s_out_mm2",
-    "venturi.s_t_mm2", "venturi.s_src_mm2", "venturi.s_e_mm2", "venturi.h_t_mm",
+    "fcs.s3_mm2", "venturi.s_in_mm2", "venturi.s_out_mm2", "venturi.s_t_mm2",
+    "venturi.s_src_mm2", "venturi.s_e_mm2", "venturi.h_t_mm",
     "finger.finger_length_mm", "hand.max_opening_mm",
 ])
 def test_negative_area_or_length_exits_1(path, tmp_path, capsys):
@@ -696,3 +716,137 @@ def test_full_inlet_design_injects_at_its_q_bc_target(p_src, s_src, s_e):
             lines = out.getvalue().splitlines()
             assert lines[5] == "venturi.h_t_mm,55,8.1,118,118"
             assert [row.split(",")[9] for row in lines[7:9]] == ["0", "1"]
+
+
+# --- every subcommand, every input ------------------------------------
+
+# JSON numbers of each kind a check must catch: out of range, non-finite,
+# vanishing, overflowing, and an integer past the largest float.  As a
+# duration over a timestep, or over the default 0.01 s, each two positive
+# ones give at most 260 rows or more than MAX_ROWS, so no drawn scenario
+# runs long.
+JSON_NUMBERS = (0, -0.0, -1, 0.5, 1, 2.6, 5e-324, 1e-300, 1e300, 1.7e308, -1.7e308,
+                float("nan"), float("inf"), float("-inf"), 2 ** 64, 10 ** 400)
+# every key but q_ab_lpm at a value that loads, over the full-inlet base
+GOOD_CONFIG = system_to_dict(load_system({"venturi": FULL_INLET}))
+CONFIG_PATHS = sorted(f"{section}.{key}" for section, keys in SCHEMA.items() for key in keys)
+# the keys a file can hold, so that random objects sometimes get past
+# the key checks and reach the values
+JSON_KEYS = st.sampled_from(sorted({
+    *SCHEMA, *(key for keys in SCHEMA.values() for key in keys), "name", "timestep_s",
+    "segments", "scene", "duration_s", "q_src_lpm", "event", "object_width_mm",
+    "object_mass_kg"})) | st.text(max_size=4)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.sampled_from(JSON_NUMBERS) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(JSON_KEYS, inner, max_size=3),
+    max_leaves=8)
+
+
+def maybe(draw, good, odd=json_values):
+    """A draw from `good`, or one time in eight or fewer from `odd`, any
+    JSON value by default."""
+    return draw(draw(st.sampled_from((good,) * 7 + (odd,))))
+
+
+@st.composite
+def file_bytes(draw, objects):
+    """A drawn object as JSON text, now and then in bytes that are not
+    UTF-8, not JSON, or nested past the parser's recursion limit."""
+    text = json.dumps(draw(objects))
+    damage = maybe(draw, st.just(None), st.sampled_from(["byte", "utf-16", "cut", "deep"]))
+    at = draw(st.integers(0, len(text)))
+    if damage == "utf-16":
+        return text.encode("utf-16")
+    data = text.encode()
+    if damage == "byte":
+        return data[:at] + draw(st.sampled_from([b"\xff", b"\x80", b"\xc3"])) + data[at:]
+    if damage == "deep":
+        return b"[" * 100_000 + data
+    return data[:at] if damage == "cut" else data
+
+
+@st.composite
+def configs(draw):
+    """One to three keys over the reference or the full-inlet base, each
+    at a value that loads or at an odd one; now and then any JSON value."""
+    raw = {"venturi": dict(FULL_INLET)} if draw(st.booleans()) else {}
+    for path in draw(st.lists(st.sampled_from(CONFIG_PATHS), min_size=1, max_size=3)):
+        section, key = path.split(".")
+        number = st.sampled_from(JSON_NUMBERS)
+        odd = st.lists(st.tuples(number, number), max_size=3) if key.endswith("knots") else number
+        value = st.just(GOOD_CONFIG[section].get(key, 8.1))
+        raw.setdefault(section, {})[key] = draw(draw(st.sampled_from((value, odd, odd))))
+    return maybe(draw, st.just(raw))
+
+
+@st.composite
+def scenarios(draw):
+    """At most 5 segments of at most 2000 steps each, when the timestep
+    and the durations are valid; any field now and then any JSON value."""
+    dt = maybe(draw, st.sampled_from([0.01, 0.25, 0.1, 1.0]),
+               st.sampled_from(JSON_NUMBERS) | json_values)
+    positive = type(dt) is float and 0 < dt < math.inf
+    segments = []
+    for _ in range(draw(st.integers(1, 5))):
+        steps = draw(st.integers(1, 2000))
+        segment = {"duration_s": maybe(draw, st.just(steps * dt) if positive
+                                       else st.sampled_from(JSON_NUMBERS)),
+                   "q_src_lpm": maybe(draw, st.sampled_from([0, 5, 30, 50, 118, 150, 2000]))}
+        if draw(st.booleans()):
+            segment["event"] = maybe(draw, st.sampled_from(["grasp", "lift", "place", "pivot"]))
+        segments.append(maybe(draw, st.just(segment)))
+    raw = {"timestep_s": dt, "segments": maybe(draw, st.just(segments))}
+    scene = st.fixed_dictionaries({
+        "object_width_mm": st.sampled_from([50.0, 72.0, 73.0, *JSON_NUMBERS]),
+        "object_mass_kg": st.sampled_from([0.05, 0.12, *JSON_NUMBERS])})
+    # no scene, a scene, or any JSON value as the scene
+    if (scene := draw(st.sampled_from((None, scene, scene, json_values)))) is not None:
+        raw["scene"] = draw(scene)
+    return maybe(draw, st.just(raw))
+
+
+NUMBER_TEXTS = st.sampled_from([repr(x) for x in JSON_NUMBERS if type(x) is not int]
+                               + ["1e400", "nan", "-inf", "x", "", " 8.1 ", "0x10"])
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(config=file_bytes(configs()) | st.none(), scenario=file_bytes(scenarios()),
+       param=st.sampled_from(CONFIG_PATHS) | st.text(max_size=6),
+       values=st.lists(NUMBER_TEXTS, max_size=4).map(",".join),
+       targets=st.lists(st.tuples(st.sampled_from(["--q-ab", "--q-bc", "--q2"]), NUMBER_TEXTS),
+                        max_size=3),
+       with_scenario=st.booleans(), with_out=st.booleans())
+def test_every_subcommand_ends_in_an_exit_code(config, scenario, param, values, targets,
+                                               with_scenario, with_out):
+    # each of the five subcommands, on any config, scenario, key, values
+    # and targets, ends in exit 0, 1 or 2 (argparse's SystemExit(2)
+    # included) with no other exception, and an exit 1 leaves no --out file;
+    # config None runs on the reference system
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, scn, out = (str(Path(tmp, n)) for n in ("cfg.json", "scn.json", "out"))
+        Path(scn).write_bytes(scenario)
+        config_args = []
+        if config is not None:
+            Path(cfg).write_bytes(config)
+            config_args = ["--config", cfg]
+        out_args = ["--out", out] if with_out else []
+        commands = [
+            ["simulate", scn, *config_args, *out_args],
+            ["sweep", "--param", param, "--values", values, *config_args,
+             *(["--scenario", scn] if with_scenario else []), *out_args],
+            ["design-search", *(arg for pair in targets for arg in pair), *config_args,
+             *out_args],
+            ["table1", *out_args],
+            ["validate", *config_args],
+        ]
+        for argv in commands:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                try:
+                    rc = main(argv)
+                except SystemExit as exc:
+                    rc = exc.code
+                    assert rc == 2, argv
+            assert rc in (0, 1, 2), argv
+            if rc == 1:
+                assert not Path(out).exists(), argv
+            Path(out).unlink(missing_ok=True)

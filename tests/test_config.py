@@ -145,7 +145,7 @@ def test_numbers_reject_non_finite(tmp_path):
 
 # every number field of a section config; None-valued ones may be set
 CONFIG_NUMBERS = [
-    ("fcs", f) for f in ("alpha", "epsilon", "s3", "f_rot", "gamma", "exhaust_port_area")
+    ("fcs", f) for f in ("alpha", "epsilon", "s3", "f_rot", "gamma")
 ] + [
     ("venturi", f) for f in ("s_in", "s_out", "s_t", "h_t", "rho_lub", "discharge_coeff",
                              "s_src", "s_e", "p_src")
@@ -256,15 +256,15 @@ def test_curvature_gain_round_trip_value():
 
 
 # Per key: values that load and values that fail, each failure through a
-# different check (range, sign of an area or length, type, shape).
+# different check (range, sign of an area or length, type, shape,
+# non-finite, a derived value that vanishes or overflows).
 OVERRIDE_VALUES = {
-    "fcs.alpha": (0.97, 0.5, 1.5, -0.1, "x"),
+    "fcs.alpha": (0.97, 0.5, 1.5, -0.1, "x", 5e-324),
     "fcs.epsilon": (3.0, 0.0, True),
     "fcs.s3_mm2": (12.5, 0.0, -1.0),
-    "fcs.exhaust_port_mm2": (5.0, 0.0, -1.0),
     "fcs.gamma": (0.5, 1.5, None),
-    "fcs.f_rot_N": (0.002, 0.0, -0.1),
-    "fcs.q_ab_lpm": (12.0, 0.0, -3.0),
+    "fcs.f_rot_N": (0.002, 0.0, -0.1, float("inf")),
+    "fcs.q_ab_lpm": (12.0, 0.0, -3.0, 1e300),
     "fcs.f_block_knots": ([[1.5, 0.9], [9.0, 1.3]], [], [[2.0, 1.0], [1.0, 2.0]], [[1.0]]),
     "venturi.s_in_mm2": (25.0, 10.0, -1.0),
     "venturi.s_out_mm2": (15.0, 30.0, -1.0),
@@ -289,8 +289,7 @@ OVERRIDE_VALUES = {
 }
 OVERRIDE_BASES = {
     "reference": None,
-    "full-feed": {"fcs": {"exhaust_port_mm2": 7.1},
-                  "venturi": {"p_src_kpa_abs": 101.4, "s_src_mm2": 20, "s_e_mm2": 30,
+    "full-feed": {"venturi": {"p_src_kpa_abs": 101.4, "s_src_mm2": 20, "s_e_mm2": 30,
                               "rho_lub": 1000.0}},
 }
 

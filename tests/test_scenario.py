@@ -521,8 +521,10 @@ def test_sweep_empty_values():
 
 
 def test_sweep_unknown_param():
-    with pytest.raises(ConfigError, match="unknown config path"):
-        sweep("fcs.alfa", [1.0])
+    # with no values too: the key is checked before the first one
+    for values in ([1.0], []):
+        with pytest.raises(ConfigError, match="unknown config path"):
+            sweep("fcs.alfa", values)
 
 
 def test_design_search_reproduces_reference():

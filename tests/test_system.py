@@ -109,7 +109,6 @@ def test_prototype_configs_share_valve_geometry():
         assert cfg.gamma == ref.gamma
         assert cfg.alpha == pytest.approx(measured_alpha(prototype(label)), rel=1e-12)
         assert cfg.epsilon == prototype(label).epsilon
-        assert cfg.exhaust_port_area == prototype(label).exhaust_port_area
 
 
 def test_prototype_a_reproduces_measured_switch_points():

@@ -244,6 +244,18 @@ def assert_streamed_times(trace, spans) -> None:
     assert at == trace.runs[-1].stop
 
 
+@pytest.mark.parametrize("dt", [0.01, 0.25])
+def test_runs_that_do_not_cover_every_step_are_a_value_error(dt):
+    # a row's time counts the steps written before it, in the table and
+    # in the formatted times alike, so a trace that starts late or skips
+    # steps would print wrong times
+    run = cut_trace(dt, [3]).runs[0]
+    for runs, first, k in (((run._replace(first=5, stop=8),), 5, 0),
+                           ((run, run._replace(first=4, stop=6)), 4, 3)):
+        with pytest.raises(ValueError, match=f"^a run starts at step {first}, not {k}: "):
+            SimTrace("gap", dt, runs).to_csv()
+
+
 def test_time_table_matches_format_at_every_step():
     assert_streamed_times(cut_trace(0.01, [MAX_ROWS + 1]), [(0, MAX_ROWS + 1)])
 
