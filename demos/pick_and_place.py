@@ -10,7 +10,7 @@ compare what happens at the drop.
 
 from flowhand.core import lpm_to_m3s
 from flowhand.scenario import Scenario, Segment, run_scenario
-from flowhand.tasks import GraspScene
+from flowhand.tasks import GraspScene, placement_disturbance
 
 
 def seg(duration, q_lpm, event=None):
@@ -23,7 +23,7 @@ def describe(name, trace) -> None:
     if trace.lift_ok is not None:
         print(f"  lift           : {'held' if trace.lift_ok else 'slipped'}")
     print(f"  at the drop    : {trace.place_outcome.value}")
-    print(f"  disturbance    : {trace.disturbance_proxy:.0f}  (0 gentle, 1 jolted)")
+    print(f"  disturbance    : {placement_disturbance(trace.place_outcome):.0f}  (0 gentle, 1 jolted)")
     states = "".join(s.name for s in trace.state_sequence())
     print(f"  states visited : {states}")
     print()

@@ -67,9 +67,11 @@ class FingerConfig:
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
-        # the largest angle the bent finger's arc turns through (posture)
+        # the largest arc angle (posture) and tip force (payload) stay finite
         if not (turn := self.curvature_gain * self.p_max * self.finger_length) < math.inf:
             raise ValueError(f"curvature_gain * p_max * finger_length must be finite, got {turn}")
+        if not (force := self.tipforce_gain * self.p_max) < math.inf:
+            raise ValueError(f"tipforce_gain * p_max must be finite, got {force}")
         if self.pressure_map(0.0) != 0.0:
             raise ValueError("pressure map must pass through (0, 0)")
         ys = [y for _, y in self.pressure_map.knots]

@@ -81,12 +81,10 @@ from .system import (
 )
 from .tasks import (
     FrictionState,
-    FrictionTracker,
     GraspScene,
     PlacementOutcome,
     can_grasp,
     pivot_feasible,
-    placement_disturbance,
     placement_slip,
 )
 from .venturi import (
@@ -123,7 +121,7 @@ class SimulationError(RuntimeError):
 class Segment(_Value):
     """One piecewise-constant command: hold q_src for duration seconds.
 
-    duration [s] is finite and > 0, q_src [m^3/s] finite and >= 0, and
+    duration [s] finite and > 0, q_src [m^3/s] >= 0 and finite in L/min,
     event None or one of EVENTS.  An immutable value: assigning a field
     raises AttributeError, and equal segments compare and hash equal.
     """
@@ -133,7 +131,7 @@ class Segment(_Value):
     def __init__(self, duration: float, q_src: float, event: str | None = None) -> None:
         if not 0.0 < duration < math.inf:
             raise ValueError(f"segment duration must be finite and > 0, got {duration}")
-        if not 0.0 <= q_src < math.inf:
+        if not 0.0 <= q_src * LPM_PER_M3S < math.inf:
             raise ValueError(f"segment q_src must be finite and >= 0, got {q_src} m^3/s "
                              f"({q_src * LPM_PER_M3S:g} L/min)")
         if event is not None and event not in EVENTS:
@@ -357,7 +355,6 @@ class SimTrace(NamedTuple):
     grasp_ok: bool | None = None
     lift_ok: bool | None = None
     place_outcome: PlacementOutcome | None = None
-    disturbance_proxy: float | None = None
     pivot_ok: bool | None = None
 
     def state_sequence(self) -> list[FcsState]:
@@ -481,21 +478,25 @@ def run_scenario(
     a pure function of the command and the latched pressure, so each
     distinct command is evaluated once, at its first segment, which is
     also where a non-finite output raises SimulationError.  The latched
-    pressure and the friction regime carry across segments.  Task
-    events fire at segment start; grasp, lift, and place need a scene.
-    A place event releases the object, which wipes the lubricant, so
-    friction resets for the following segments.  A segment that covers
+    pressure and the friction regime carry across segments.  Friction
+    starts HIGH, turns LOW at a segment that injects and stays LOW until
+    a place event releases the object and wipes the lubricant: the place
+    segment still reads LOW, the next one HIGH.  Task events fire at
+    segment start, after its injection; grasp, lift, and place need a
+    scene, and the last event of each kind wins.  A segment that covers
     no timestep sample is a ConfigError.
     """
     system = system or default_system()
     consts = system.consts
-    tracker = FrictionTracker()
+    hand = system.hand
     # q_src -> its OperatingPoint; in state C the latch holds the finger
-    # outputs (p_f, f_tip, r) of the last command that reached the chamber
+    # outputs (p_f, f_tip, r) of the last command that reached the chamber,
+    # or of the empty chamber before any did
     points: dict = {}
-    held = None
+    held = _finger_outputs(0.0, system.finger)
+    friction = FrictionState.HIGH
+    grasp_ok = lift_ok = place_outcome = pivot_ok = None
     runs: list[SegmentRun] = []
-    results: dict = {}
 
     dt = scenario.timestep
     k = 0
@@ -511,13 +512,24 @@ def run_scenario(
         out, injecting, finger = point
         if finger is not None:
             held = finger
-        elif held is None:     # sealed before any air reached the chamber
-            held = _finger_outputs(0.0, system.finger)
         p_f, f_tip, r = held
-        friction = tracker.record(injecting)
+        if injecting:
+            friction = FrictionState.LOW
 
-        if seg.event is not None:
-            _run_event(seg.event, i, scene, f_tip, tracker, system, consts, results)
+        event = seg.event
+        if event is not None:
+            if scene is None and event != "pivot":
+                raise ConfigError(f"segment {i}: event '{event}' needs a scene")
+            if event == "grasp":
+                grasp_ok = can_grasp(scene, f_tip, hand, consts, mu=hand.mu(friction))
+            elif event == "pivot":
+                pivot_ok = pivot_feasible(hand.mu(friction), hand)
+            else:
+                outcome = placement_slip(scene, f_tip, hand, friction, consts)
+                if event == "lift":
+                    lift_ok = outcome is PlacementOutcome.HELD_FIXED
+                else:
+                    place_outcome = outcome
 
         stop = _step_stop(k, end, dt)
         if stop == k:
@@ -525,11 +537,13 @@ def run_scenario(
                 f"segment {i} (t={start:g} s, {seg.duration:g} s long) covers no "
                 f"sample at timestep {dt:g} s")
         runs.append(SegmentRun(k, stop, seg.q_src, out.q1, out.q2, out.q_exhaust,
-                               out.state, p_f, r, f_tip, injecting, friction, seg.event))
+                               out.state, p_f, r, f_tip, injecting, friction, event))
+        if event == "place":       # object gone, lubricant wiped with it
+            friction = FrictionState.HIGH
         k = stop
         start = end
 
-    return SimTrace(name=scenario.name, timestep=dt, runs=tuple(runs), **results)
+    return SimTrace(scenario.name, dt, tuple(runs), grasp_ok, lift_ok, place_outcome, pivot_ok)
 
 
 def _check_finite(*values: tuple[str, float]) -> None:
@@ -568,25 +582,6 @@ def _finger_outputs(p_f: float, cfg: FingerConfig) -> tuple:
     if math.isnan(r):
         raise SimulationError("r is nan")
     return p_f, f_tip, r
-
-
-def _run_event(event, index, scene, f_tip, tracker, system, consts, results) -> None:
-    hand = system.hand
-    if event in ("grasp", "lift", "place") and scene is None:
-        raise ConfigError(f"segment {index}: event '{event}' needs a scene")
-    if event == "grasp":
-        results["grasp_ok"] = can_grasp(
-            scene, f_tip, hand, consts, mu=hand.mu(tracker.state))
-    elif event == "lift":
-        held = placement_slip(scene, f_tip, hand, tracker.state, consts)
-        results["lift_ok"] = held is PlacementOutcome.HELD_FIXED
-    elif event == "place":
-        outcome = placement_slip(scene, f_tip, hand, tracker.state, consts)
-        results["place_outcome"] = outcome
-        results["disturbance_proxy"] = placement_disturbance(outcome)
-        tracker.release()      # object gone, lubricant wiped with it
-    elif event == "pivot":
-        results["pivot_ok"] = pivot_feasible(hand.mu(tracker.state), hand)
 
 
 def injection_displacement(trace: SimTrace, cfg: FingerConfig) -> float | None:

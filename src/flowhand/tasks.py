@@ -13,8 +13,8 @@ actuator both hold firmly and release gently:
   pivot            a held object swings about the grip axis when contact
                    friction is low enough to let it rotate
 
-Friction is hysteretic: injection flips the surface to LOW and it stays
-LOW until the fingers are wiped or swapped, tracked by FrictionTracker.
+Friction is hysteretic: injection flips the surface to LOW until the
+object's release wipes the lubricant off; run_scenario carries the regime.
 """
 
 from __future__ import annotations
@@ -157,27 +157,3 @@ def pivot_feasible(mu: float, cfg: HandConfig) -> bool:
     if mu < 0:
         raise ValueError(f"mu must be >= 0, got {mu}")
     return mu <= cfg.mu_pivot_crit
-
-
-class FrictionTracker:
-    """Hysteretic fingertip surface state across a scenario.
-
-    Injection events flip the surface LOW; it stays LOW until release()
-    (a wipe or finger swap), because the lubricant does not evaporate on
-    task timescales.
-    """
-
-    def __init__(self) -> None:
-        self._state = FrictionState.HIGH
-
-    @property
-    def state(self) -> FrictionState:
-        return self._state
-
-    def record(self, injecting: bool) -> FrictionState:
-        if injecting:
-            self._state = FrictionState.LOW
-        return self._state
-
-    def release(self) -> None:
-        self._state = FrictionState.HIGH

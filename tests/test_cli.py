@@ -690,6 +690,22 @@ def test_overflowing_q_ab_names_q_ab_lpm(value, why, tmp_path):
         assert err.getvalue().startswith("config error: fcs.q_ab_lpm: "), (argv, err.getvalue())
 
 
+def test_overflowing_tip_force_is_a_config_error(scenario_file, tmp_path):
+    # a finite gain whose tip force at p_max overflows is refused when the
+    # config loads, by every command, whatever it then evaluates
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"finger": {"tipforce_gain_n_per_kpa": 1.7e308}}))
+    for argv in (["validate", "--config", str(cfg)],
+                 ["sweep", "--param", "fcs.epsilon", "--values", "5", "--config", str(cfg)],
+                 ["simulate", scenario_file, "--config", str(cfg)],
+                 ["design-search", "--config", str(cfg)]):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            assert main(argv) == 1, argv
+        assert err.getvalue().startswith("config error: "), (argv, err.getvalue())
+        assert "tipforce_gain" in err.getvalue(), (argv, err.getvalue())
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(p_src=st.floats(101.025, 101.825), s_src=st.floats(5.0, 80.0),
        s_e=st.floats(5.0, 80.0))

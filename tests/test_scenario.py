@@ -56,6 +56,10 @@ def test_segment_validation():
         Segment(duration=1.0, q_src=-1e-3)
     with pytest.raises(ValueError):
         Segment(duration=1.0, q_src=1e-3, event="jump")
+    # 1e308 m^3/s is finite, but the trace would print inf L/min
+    with pytest.raises(ValueError, match=r"\(inf L/min\)"):
+        Segment(duration=0.01, q_src=1e308)
+    assert m3s_to_lpm(Segment(duration=0.01, q_src=2.9e303).q_src) < math.inf
 
 
 def test_scenario_validation():
@@ -387,22 +391,28 @@ def test_timestep_changes_density_not_values():
 
 def test_lubricated_place_slides_and_friction_resets():
     scene = GraspScene(object_width=0.05, object_mass=0.12)
-    sc = Scenario("wet", (
+    first = (
         seg(0.05, 50.0, event="grasp"),
         seg(0.05, 150.0),
         seg(0.05, 50.0, event="place"),
         seg(0.05, 50.0),
-    ))
-    trace = run_scenario(sc, scene=scene)
+    )
+    # a second cycle: inject, hold without injecting, place
+    second = (seg(0.05, 150.0), seg(0.05, 50.0), seg(0.05, 50.0, event="place"),
+              seg(0.05, 50.0))
+    trace = run_scenario(Scenario("wet", first + second), scene=scene)
     assert trace.grasp_ok is True
     assert trace.place_outcome is PlacementOutcome.SLIDES_IN_GRIP
-    assert trace.disturbance_proxy == 0.0
-    # rows in the place segment still carry the lubricated state; the
-    # release lands on the segment after it
-    place_rows = [r for r in step_records(trace) if 0.1 <= r.t < 0.15]
-    after_rows = [r for r in step_records(trace) if r.t >= 0.15]
-    assert all(r.friction is FrictionState.LOW for r in place_rows)
-    assert all(r.friction is FrictionState.HIGH for r in after_rows)
+    # rows in each place segment still carry the lubricated state; the
+    # release lands on the segment after it, the surface stays lubricated
+    # through a hold that does not inject, and the next injection
+    # lubricates it again
+    assert [run.friction.value for run in trace.runs] == [
+        "high", "low", "low", "high", "low", "low", "low", "high"]
+    # without the second injection the second place is dry and holds:
+    # the first place wiped the surface, and the later place decides
+    dry_second = run_scenario(Scenario("wet, then dry", first + second[1:]), scene=scene)
+    assert dry_second.place_outcome is PlacementOutcome.HELD_FIXED
 
 
 def test_dry_place_holds_and_disturbs():
@@ -416,7 +426,6 @@ def test_dry_place_holds_and_disturbs():
     assert trace.grasp_ok is True
     assert trace.lift_ok is True
     assert trace.place_outcome is PlacementOutcome.HELD_FIXED
-    assert trace.disturbance_proxy == 1.0
 
 
 def test_pivot_needs_lubricant():
@@ -463,7 +472,10 @@ def test_row_cap_checked_before_any_row_exists():
 
 
 def test_runaway_output_aborts():
-    system = replace(default_system(), finger=FingerConfig(tipforce_gain=1e308))
+    # FingerConfig refuses a tip force that overflows at p_max, so the
+    # gain is set past that check to reach the runtime guard
+    system = replace(default_system(), finger=FingerConfig())
+    object.__setattr__(system.finger, "tipforce_gain", 1e308)
     with pytest.raises(SimulationError, match="f_tip"):
         run_scenario(hold(50.0), system)
 

@@ -6,7 +6,6 @@ import pytest
 from flowhand.core import PhysConstants
 from flowhand.tasks import (
     FrictionState,
-    FrictionTracker,
     GraspScene,
     HandConfig,
     PlacementOutcome,
@@ -134,25 +133,6 @@ def test_scene_validation():
 def test_mu_lookup():
     assert CFG.mu(FrictionState.HIGH) == CFG.mu_high
     assert CFG.mu(FrictionState.LOW) == CFG.mu_low
-
-
-def test_tracker_hysteresis():
-    tracker = FrictionTracker()
-    assert tracker.state is FrictionState.HIGH
-    assert tracker.record(False) is FrictionState.HIGH
-    assert tracker.record(True) is FrictionState.LOW
-    # injection stopping does not restore the surface
-    assert tracker.record(False) is FrictionState.LOW
-    tracker.release()
-    assert tracker.state is FrictionState.HIGH
-
-
-def test_tracker_fresh_grasp_after_release():
-    tracker = FrictionTracker()
-    tracker.record(True)
-    tracker.release()
-    assert tracker.record(False) is FrictionState.HIGH
-    assert tracker.record(True) is FrictionState.LOW
 
 
 def test_payload_random_never_negative():

@@ -34,13 +34,19 @@ from flowhand.scenario import (
     SegmentRun,
     SimTrace,
     SimulationError,
-    _run_event,
     _step_stop,
     load_scenario,
     run_scenario,
 )
 from flowhand.system import default_system
-from flowhand.tasks import FrictionTracker, GraspScene
+from flowhand.tasks import (
+    FrictionState,
+    GraspScene,
+    PlacementOutcome,
+    can_grasp,
+    pivot_feasible,
+    placement_slip,
+)
 from flowhand.venturi import injection_active, lubricant_column
 
 from steps import step_records
@@ -393,9 +399,11 @@ def test_joined_run_across_a_million_steps_at_a_tenth_of_a_second():
 
 def per_segment_run_scenario(scenario, system, scene):
     """The reference for run_scenario: the whole chain evaluated for
-    every segment, with no table of commands."""
+    every segment, with no table of commands, and the friction regime
+    and the event outcomes written out here."""
     consts = system.consts
-    tracker = FrictionTracker()
+    hand = system.hand
+    lubricated = False
     p_latch = 0.0
     runs = []
     results = {}
@@ -411,7 +419,8 @@ def per_segment_run_scenario(scenario, system, scene):
         p_f = p_latch
         h_l = lubricant_column(seg.q_src, out.q2, system.venturi, consts)
         injecting = injection_active(h_l, system.venturi.h_t)
-        friction = tracker.record(injecting)
+        lubricated = lubricated or injecting
+        friction = FrictionState.LOW if lubricated else FrictionState.HIGH
         f_tip = tip_force(p_f, system.finger)
         r = bending_radius(p_f, system.finger)
 
@@ -424,8 +433,18 @@ def per_segment_run_scenario(scenario, system, scene):
         if math.isnan(r):
             raise SimulationError(f"r is nan in segment {i} (t={start:g} s)")
 
-        if seg.event is not None:
-            _run_event(seg.event, i, scene, f_tip, tracker, system, consts, results)
+        if seg.event in ("grasp", "lift", "place") and scene is None:
+            raise ConfigError(f"segment {i}: event '{seg.event}' needs a scene")
+        mu = hand.mu_low if lubricated else hand.mu_high
+        if seg.event == "grasp":
+            results["grasp_ok"] = can_grasp(scene, f_tip, hand, consts, mu=mu)
+        elif seg.event == "lift":
+            results["lift_ok"] = (placement_slip(scene, f_tip, hand, friction, consts)
+                                  is PlacementOutcome.HELD_FIXED)
+        elif seg.event == "place":
+            results["place_outcome"] = placement_slip(scene, f_tip, hand, friction, consts)
+        elif seg.event == "pivot":
+            results["pivot_ok"] = pivot_feasible(mu, hand)
 
         stop = _step_stop(k, end, dt)
         if stop == k:
@@ -434,6 +453,8 @@ def per_segment_run_scenario(scenario, system, scene):
                 f"sample at timestep {dt:g} s")
         runs.append(SegmentRun(k, stop, seg.q_src, out.q1, out.q2, out.q_exhaust,
                                out.state, p_f, r, f_tip, injecting, friction, seg.event))
+        # the release wipes the lubricant off after the place segment
+        lubricated = lubricated and seg.event != "place"
         k = stop
         start = end
 
@@ -442,8 +463,10 @@ def per_segment_run_scenario(scenario, system, scene):
 
 SYSTEM = default_system()
 # f_tip overflows at every pressure above about 2 Pa, so only 0 L/min and
-# pinch-off holds from an empty chamber get through
-RUNAWAY = replace(SYSTEM, finger=FingerConfig(tipforce_gain=1e308))
+# pinch-off holds from an empty chamber get through; FingerConfig refuses
+# such a gain, so it is set past the check to reach the runtime guard
+RUNAWAY = replace(SYSTEM, finger=FingerConfig())
+object.__setattr__(RUNAWAY.finger, "tipforce_gain", 1e308)
 # a few commands per state, so they repeat: A below 8.1 L/min, C from 118
 PALETTE = {
     "A": (0.0, -0.0, 5.0),
