@@ -38,7 +38,7 @@ from .scenario import (
     sweep_csv,
     validate_table1,
 )
-from .system import Q2_ONSET_LPM, Q_AB_LPM, Q_BC_LPM
+from .system import MOTION_MAX_LPM, Q2_ONSET_LPM, Q_AB_LPM, Q_BC_LPM
 from .tasks import GraspScene, can_grasp, payload
 from .venturi import InfeasibleDesignError, activation_threshold, q2_activation_threshold
 
@@ -154,33 +154,30 @@ def _cmd_validate(args) -> int:
                    f"{100 * report.max_f1_error():.1f}%"))
 
     q_ab, q_bc = state_thresholds(system.fcs, consts)
-    ab = None if q_ab is None else m3s_to_lpm(q_ab)
-    bc = None if q_bc is None else m3s_to_lpm(q_bc)
-    checks.append(("lever flip", ab is not None and abs(ab - Q_AB_LPM) <= 0.1,
-                   f"{'none' if ab is None else f'{ab:.2f}'} L/min vs {Q_AB_LPM}"))
-    checks.append(("pinch-off flip", bc is not None and abs(bc - Q_BC_LPM) <= 1.0,
-                   f"{'none' if bc is None else f'{bc:.2f}'} L/min vs {Q_BC_LPM}"))
+    # (check, threshold [m^3/s] or None, paper value and tolerance [L/min])
+    for name, q, paper, tol in (
+            ("lever flip", q_ab, Q_AB_LPM, 0.1), ("pinch-off flip", q_bc, Q_BC_LPM, 1.0),
+            ("injection activation", activation_threshold(system.venturi, system.fcs, consts),
+             Q_BC_LPM, 1.0),
+            ("injection-line onset", q2_activation_threshold(system.venturi, consts),
+             Q2_ONSET_LPM, 1.0)):
+        lpm = None if q is None else m3s_to_lpm(q)
+        checks.append((name, lpm is not None and abs(lpm - paper) <= tol,
+                       f"{'none' if lpm is None else f'{lpm:.2f}'} L/min vs {paper}"))
 
-    act = activation_threshold(system.venturi, system.fcs, consts)
-    act_lpm = None if act is None else m3s_to_lpm(act)
-    q2_on = q2_activation_threshold(system.venturi, consts)
-    q2_lpm = None if q2_on is None else m3s_to_lpm(q2_on)
-    checks.append(("injection activation",
-                   act_lpm is not None and abs(act_lpm - Q_BC_LPM) <= 1.0,
-                   f"{'none' if act_lpm is None else f'{act_lpm:.2f}'} L/min vs {Q_BC_LPM}"))
-    checks.append(("injection-line onset",
-                   q2_lpm is not None and abs(q2_lpm - Q2_ONSET_LPM) <= 1.0,
-                   f"{'none' if q2_lpm is None else f'{q2_lpm:.2f}'} L/min vs {Q2_ONSET_LPM}"))
+    motion, full = (operating_point(lpm_to_m3s(q), system) for q in (MOTION_MAX_LPM, 150.0))
+    checks.append(("injection gating", not motion.injecting and full.injecting,
+                   "off at 50 L/min, on at 150 L/min"))
 
-    off, on = (operating_point(lpm_to_m3s(q), system).injecting for q in (50.0, 150.0))
-    checks.append(("injection gating", not off and on, "off at 50 L/min, on at 150 L/min"))
-
-    lift = payload(0.38, system.hand, system.hand.mu_high)
-    wide = GraspScene(object_width=0.073, object_mass=0.05)
-    fits = GraspScene(object_width=0.072, object_mass=0.05)
-    checks.append(("payload", abs(lift - 1.5) / 1.5 <= 0.02, f"{lift:.3f} N vs 1.5 N"))
-    checks.append(("opening gate", (not can_grasp(wide, 0.38, system.hand, consts))
-                   and can_grasp(fits, 0.38, system.hand, consts),
+    # none when state C seals the chamber at a pressure the path sets
+    lift = None if motion.finger is None else payload(motion.finger[1], system.hand,
+                                                      system.hand.mu_high)
+    checks.append(("payload", lift is not None and abs(lift - 1.5) / 1.5 <= 0.02,
+                   f"{'none' if lift is None else f'{lift:.3f} N'} vs 1.5 N"))
+    # massless objects: the gate tests the width alone
+    wide, fits = (GraspScene(object_width=w, object_mass=0.0) for w in (0.073, 0.072))
+    checks.append(("opening gate", (not can_grasp(wide, 0.0, system.hand, consts))
+                   and can_grasp(fits, 0.0, system.hand, consts),
                    "73 mm rejected, 72 mm accepted"))
 
     trace = run_scenario(_protocol_scenario(), system)

@@ -9,23 +9,23 @@ timestep controls trace density only; values at shared timestamps are
 identical across timesteps, and no event can fall between samples: a
 segment that covers no sample is rejected.
 
-So a trace stores one SegmentRun per segment, the segment's outputs
-plus the range of timesteps it covers, and never one object per step.
-SimTrace.to_csv expands the rows while it writes them, at most
-_WRITE_ROWS lines per write, formatting each distinct set of constant
-columns once.  Its time column repeats too: for a short decimal
-timestep of at most 0.1 s, such as 0.01, every row of one whole second
-shares the second's digits str(s) and differs only in a fractional
-suffix from a table, so one loop writes each run's stretch within one
-second as one join of its suffixes, with the bytes a float formatted
-per row would give and no time string made per row.
+So a trace stores one run (stop, row) per segment, the step after the
+segment's last one and an index into the trace's table of distinct
+output rows, and never one object per step.  SimTrace.to_csv expands
+the rows while it writes them, at most _WRITE_ROWS lines per write,
+formatting each row of the table once.  Its time column repeats too:
+for a short decimal timestep of at most 0.1 s, such as 0.01, every row
+of one whole second shares the second's digits str(s) and differs only
+in a fractional suffix from a table, so one loop writes each run's
+stretch within one second as one join of its suffixes, with the bytes a
+float formatted per row would give and no time string made per row.
 
 And since the hand has one input, a scenario of thousands of segments
 repeats a few segments and reuses a few operating points: load_scenario
 checks and builds each distinct segment once per file, run_scenario
-evaluates each distinct command once per run, each in a table local to
-the call, and only the latch, the friction regime and the events run
-per segment.
+evaluates each distinct command once per run and adds each distinct
+output row once, each in a table local to the call, and only the latch,
+the friction regime and the events run per segment.
 
 The finger pressure latches because pinch-off seals the finger line:
 whatever air is in the chamber stays there while the switch is in the
@@ -44,6 +44,7 @@ import io
 import math
 from dataclasses import replace
 from functools import cache
+from itertools import groupby
 from typing import NamedTuple
 
 from .config import ConfigError, _config_path, _float, _number, apply_override, read_json
@@ -289,11 +290,9 @@ def _segment(seg, i: int) -> Segment:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-class SegmentRun(NamedTuple):
-    """One segment's outputs, held on the timesteps first .. stop-1."""
+class TraceRow(NamedTuple):
+    """One distinct set of a trace's outputs, the CSV columns after t."""
 
-    first: int
-    stop: int
     q_src: float               # m^3/s
     q1: float
     q2: float
@@ -304,10 +303,9 @@ class SegmentRun(NamedTuple):
     f_tip: float               # N
     injection: bool
     friction: FrictionState
-    event: str | None
 
 
-# a CSV row is its time text plus this tail of its run's columns
+# a CSV row is its time text plus this tail of its run's row of outputs
 _ROW_TAIL = ",{:.6g},{:.6g},{:.6g},{:.6g},{},{:.6g},{:.6g},{:.6g},{},{}\n".format
 # the most lines a streamed to_csv holds before it writes them out
 _WRITE_ROWS = 4096
@@ -343,15 +341,18 @@ def _time_table(dt: float) -> tuple[int, int, tuple[str, ...], int] | None:
 
 
 class SimTrace(NamedTuple):
-    """One run per segment plus the outcomes of any task events.
+    """One run (stop, row) per segment, the table of distinct outputs the
+    runs index, and the outcomes of any task events.
 
-    Step k of the trace is at time k * timestep; a run covers the steps
-    first .. stop-1, and the runs cover every step in order from step 0.
+    Step k of the trace is at time k * timestep; a run holds outputs[row]
+    from the step the run before it stops at, or step 0, to stop - 1.
+    Every row is held by a run.  The events stay on scenario.segments.
     """
 
     name: str
     timestep: float
-    runs: tuple[SegmentRun, ...]
+    runs: tuple[tuple[int, int], ...]
+    outputs: tuple[TraceRow, ...]
     grasp_ok: bool | None = None
     lift_ok: bool | None = None
     place_outcome: PlacementOutcome | None = None
@@ -359,20 +360,16 @@ class SimTrace(NamedTuple):
 
     def state_sequence(self) -> list[FcsState]:
         """Visited states with consecutive repeats collapsed."""
-        out: list[FcsState] = []
-        for run in self.runs:
-            if not out or out[-1] is not run.state:
-                out.append(run.state)
-        return out
+        return [state for state, _ in groupby(self.outputs[row].state for _, row in self.runs)]
 
     def to_csv(self, out=None) -> str | None:
         """The trace as CSV, one row per step.
 
-        The row of step k is its time "%.6g" % (k * dt) plus a tail of its
-        run's constant columns, each distinct tail formatted once per
-        call.  Equal fields give equal text except 0.0 and -0.0, and
-        run_scenario stores no -0.0: Segment and the calibration curves
-        drop the sign of zero.
+        The row of step k is its time "%.6g" % (k * dt) plus the tail of
+        its run's row of outputs, each tail formatted once per call.
+        Equal fields give equal text except 0.0 and -0.0, and run_scenario
+        stores no -0.0: Segment and the calibration curves drop the sign
+        of zero.
 
         One loop writes each run in chunks, a chunk being the part of a
         run within one whole second and one write.  Where _time_table
@@ -381,7 +378,8 @@ class SimTrace(NamedTuple):
         no string made per row.  Elsewhere a chunk is its formatted
         times joined by its tail.  A one-row chunk is its time text plus
         its tail.  k, s and f carry from run to run, from step 0; a run
-        that does not start at the step k is a ValueError.
+        whose stop is at or before the step k covers no step, a
+        ValueError.
 
         Given a text file, the rows are written to it as they are made,
         at most _WRITE_ROWS lines per write however long a run is, so
@@ -389,7 +387,6 @@ class SimTrace(NamedTuple):
         Otherwise the text is.
         """
         sink = io.StringIO() if out is None else out
-        low = FrictionState.LOW
         dt = self.timestep
         # without a table, table_stop = 0 and every time is formatted; with
         # one, table_stop is where second 10**6 // scale starts, so no
@@ -399,24 +396,16 @@ class SimTrace(NamedTuple):
         k, s, f, sec = 0, 0, 0, "0"
         rows = [CSV_HEADER + "\n"]
         room = _WRITE_ROWS - 1          # lines the buffer takes before a write
-        # the fields of a tail, run[2:12] -> the tail, in one table per
-        # friction regime, HIGH or LOW, so that no key holds a
-        # FrictionState, whose hash runs in Python
-        tables: tuple[dict, dict] = ({}, {})
-        for run in self.runs:
-            if run.first != k:
-                raise ValueError(f"a run starts at step {run.first}, not {k}: the runs "
-                                 "must cover every step in order from step 0")
-            tails = tables[run.friction is low]
-            key = run[2:11]
-            tail = tails.get(key)
-            if tail is None:
-                tail = tails[key] = _ROW_TAIL(
-                    m3s_to_lpm(run.q_src), m3s_to_lpm(run.q1), m3s_to_lpm(run.q2),
-                    m3s_to_lpm(run.q_exhaust), run.state.name, pa_to_kpa(run.p_f),
-                    m_to_mm(run.r), run.f_tip, "1" if run.injection else "0",
-                    run.friction.value)
-            stop = run.stop
+        tails = [_ROW_TAIL(m3s_to_lpm(o.q_src), m3s_to_lpm(o.q1), m3s_to_lpm(o.q2),
+                           m3s_to_lpm(o.q_exhaust), o.state.name, pa_to_kpa(o.p_f),
+                           m_to_mm(o.r), o.f_tip, "1" if o.injection else "0",
+                           o.friction.value)
+                 for o in self.outputs]
+        for stop, row in self.runs:
+            if stop <= k:
+                raise ValueError(f"a run stops at step {stop}, not after step {k}: every "
+                                 "run must cover at least one step")
+            tail = tails[row]
             while k < stop:
                 c = stop - k
                 if k < table_stop:
@@ -472,19 +461,20 @@ def run_scenario(
 ) -> SimTrace:
     """Execute a scenario; reruns are bit-identical.
 
-    Each segment becomes one SegmentRun: its outputs plus the range of
-    timesteps it covers, in closed form.  Nothing is built per step;
-    rows exist only while SimTrace.to_csv writes them.  The outputs are
-    a pure function of the command and the latched pressure, so each
-    distinct command is evaluated once, at its first segment, which is
-    also where a non-finite output raises SimulationError.  The latched
-    pressure and the friction regime carry across segments.  Friction
-    starts HIGH, turns LOW at a segment that injects and stays LOW until
-    a place event releases the object and wipes the lubricant: the place
-    segment still reads LOW, the next one HIGH.  Task events fire at
-    segment start, after its injection; grasp, lift, and place need a
-    scene, and the last event of each kind wins.  A segment that covers
-    no timestep sample is a ConfigError.
+    Each segment becomes one run (stop, row): the step after its last,
+    in closed form, and the index of its outputs in the trace's table.
+    Nothing is built per step; rows exist only while SimTrace.to_csv
+    writes them.  Each distinct command is evaluated once, at its first
+    segment, which is also where a non-finite output raises
+    SimulationError, and each distinct (command, latched outputs,
+    friction) adds one row.  The latched pressure and the friction
+    regime carry across segments.  Friction starts HIGH, turns LOW at a
+    segment that injects and stays LOW until a place event releases the
+    object and wipes the lubricant: the place segment still reads LOW,
+    the next one HIGH.  Task events fire at segment start, after its
+    injection; grasp, lift, and place need a scene, and the last event
+    of each kind wins.  A segment that covers no timestep sample is a
+    ConfigError.
     """
     system = system or default_system()
     consts = system.consts
@@ -495,31 +485,36 @@ def run_scenario(
     points: dict = {}
     held = _finger_outputs(0.0, system.finger)
     friction = FrictionState.HIGH
+    low = FrictionState.LOW
+    # (q_src, held, friction is low) -> its index in outputs; an enum hashes in Python
+    rows: dict = {}
+    outputs: list[TraceRow] = []
     grasp_ok = lift_ok = place_outcome = pivot_ok = None
-    runs: list[SegmentRun] = []
+    runs: list[tuple[int, int]] = []
 
     dt = scenario.timestep
     k = 0
     start = 0.0
     for i, seg in enumerate(scenario.segments):
         end = start + seg.duration
-        point = points.get(seg.q_src)
+        q_src = seg.q_src
+        point = points.get(q_src)
         if point is None:
             try:
-                point = points[seg.q_src] = operating_point(seg.q_src, system)
+                point = points[q_src] = operating_point(q_src, system)
             except SimulationError as exc:
                 raise SimulationError(f"{exc} in segment {i} (t={start:g} s)") from None
         out, injecting, finger = point
         if finger is not None:
             held = finger
-        p_f, f_tip, r = held
         if injecting:
-            friction = FrictionState.LOW
+            friction = low
 
         event = seg.event
         if event is not None:
             if scene is None and event != "pivot":
                 raise ConfigError(f"segment {i}: event '{event}' needs a scene")
+            f_tip = held[1]
             if event == "grasp":
                 grasp_ok = can_grasp(scene, f_tip, hand, consts, mu=hand.mu(friction))
             elif event == "pivot":
@@ -536,14 +531,21 @@ def run_scenario(
             raise ConfigError(
                 f"segment {i} (t={start:g} s, {seg.duration:g} s long) covers no "
                 f"sample at timestep {dt:g} s")
-        runs.append(SegmentRun(k, stop, seg.q_src, out.q1, out.q2, out.q_exhaust,
-                               out.state, p_f, r, f_tip, injecting, friction, event))
+        key = (q_src, held, friction is low)
+        row = rows.get(key)
+        if row is None:
+            row = rows[key] = len(outputs)
+            p_f, f_tip, r = held
+            outputs.append(TraceRow(q_src, out.q1, out.q2, out.q_exhaust, out.state, p_f, r,
+                                    f_tip, injecting, friction))
+        runs.append((stop, row))
         if event == "place":       # object gone, lubricant wiped with it
             friction = FrictionState.HIGH
         k = stop
         start = end
 
-    return SimTrace(scenario.name, dt, tuple(runs), grasp_ok, lift_ok, place_outcome, pivot_ok)
+    return SimTrace(scenario.name, dt, tuple(runs), tuple(outputs),
+                    grasp_ok, lift_ok, place_outcome, pivot_ok)
 
 
 def _check_finite(*values: tuple[str, float]) -> None:
@@ -588,14 +590,14 @@ def injection_displacement(trace: SimTrace, cfg: FingerConfig) -> float | None:
     """Mean mark displacement [m] between the posture just before the
     first injection and the final injecting posture; None if the trace
     never injects."""
-    runs = trace.runs
-    first = next((i for i, run in enumerate(runs) if run.injection), None)
+    rows = [trace.outputs[row] for _, row in trace.runs]
+    first = next((i for i, row in enumerate(rows) if row.injection), None)
     if first is None:
         return None
     # every run covers a step, so the step before the first injecting
     # one belongs to the run before it
-    p_before = runs[first - 1].p_f if first > 0 else 0.0
-    p_after = next(run.p_f for run in reversed(runs) if run.injection)
+    p_before = rows[first - 1].p_f if first > 0 else 0.0
+    p_after = next(row.p_f for row in reversed(rows) if row.injection)
     return mean_displacement(posture(p_before, cfg), posture(p_after, cfg))
 
 
@@ -664,11 +666,12 @@ def sweep(
             activation_lpm=None if act is None else m3s_to_lpm(act),
         )
         if scenario is not None:
-            runs = run_scenario(scenario, sys_i, scene).runs
+            trace = run_scenario(scenario, sys_i, scene)
+            outputs = trace.outputs          # each row is held by a run
             row = row._replace(
-                final_state=runs[-1].state,
-                injected=any(run.injection for run in runs),
-                max_p_f_kpa=pa_to_kpa(max(run.p_f for run in runs)),
+                final_state=outputs[trace.runs[-1][1]].state,
+                injected=any(o.injection for o in outputs),
+                max_p_f_kpa=pa_to_kpa(max(o.p_f for o in outputs)),
             )
         rows.append(row)
     return rows

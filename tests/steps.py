@@ -1,7 +1,8 @@
 """Per-step view of a trace for tests: one object per CSV row.
 
-A SimTrace stores one run per segment; the oracles that check it row by
-row expand the runs here.
+A SimTrace stores one run (stop, row) per segment and a table of
+distinct output rows; the oracles that check it row by row expand the
+runs here.
 """
 
 from __future__ import annotations
@@ -30,11 +31,18 @@ class StepRecord:
     event: str | None = None
 
 
-def step_records(trace) -> tuple[StepRecord, ...]:
-    """One record per step of trace; the event sits on the first step of
-    its segment."""
+def step_records(trace, segments=(), start=0) -> tuple[StepRecord, ...]:
+    """One record per step of trace from step `start`.  Given the
+    scenario's segments, each event sits on the first step of its
+    segment; without them no record has an event."""
     dt = trace.timestep
-    # a run's fields q_src .. friction are StepRecord's fields after t
-    return tuple(
-        StepRecord(k * dt, *run[2:12], event=run.event if k == run.first else None)
-        for run in trace.runs for k in range(run.first, run.stop))
+    events = [seg.event for seg in segments] or [None] * len(trace.runs)
+    out = []
+    first = 0
+    for (stop, row), event in zip(trace.runs, events, strict=True):
+        # an outputs row's fields are StepRecord's fields after t
+        fields = trace.outputs[row]
+        out += (StepRecord(k * dt, *fields, event=event if k == first else None)
+                for k in range(max(first, start), stop))
+        first = stop
+    return tuple(out)

@@ -478,11 +478,24 @@ def test_table1_stdout_matches_golden(capsys, tmp_path):
     assert out.read_text() == golden.read_text()
 
 
+VALIDATE_REPORT = """\
+[PASS] table listed classification  4/4
+[PASS] table recomputed forces      4/4, max f1 error 13.4%
+[PASS] lever flip                   8.10 L/min vs 8.1
+[PASS] pinch-off flip               118.00 L/min vs 118.0
+[PASS] injection activation         118.00 L/min vs 118.0
+[PASS] injection-line onset         44.00 L/min vs 44.0
+[PASS] injection gating             off at 50 L/min, on at 150 L/min
+[PASS] payload                      1.520 N vs 1.5 N
+[PASS] opening gate                 73 mm rejected, 72 mm accepted
+[PASS] posture hold                 mean mark displacement 0 m
+10/10 checks passed
+"""
+
+
 def test_validate_all_pass(capsys):
     assert main(["validate"]) == 0
-    out = capsys.readouterr().out
-    assert "[FAIL]" not in out
-    assert out.count("[PASS]") >= 8
+    assert capsys.readouterr().out == VALIDATE_REPORT
 
 
 def test_validate_detects_detuned_system(tmp_path, capsys):
@@ -490,6 +503,25 @@ def test_validate_detects_detuned_system(tmp_path, capsys):
     cfg.write_text(json.dumps({"fcs": {"epsilon": 1.5}}))
     assert main(["validate", "--config", str(cfg)]) == 2
     assert "[FAIL]" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("config, fails, payload_detail", [
+    # a weak finger: 0.0323 N at 50 L/min, a payload of 0.129 N
+    ({"finger": {"tipforce_gain_n_per_kpa": 0.001}}, ["payload"], "0.129 N vs 1.5 N"),
+    # pinch-off at 48.9 L/min seals the chamber at 50 L/min
+    ({"fcs": {"epsilon": 15}}, ["pinch-off flip", "payload"],
+     "none vs 1.5 N"),
+], ids=["weak finger", "sealed at 50 L/min"])
+def test_validate_reads_the_tip_force_of_its_config(config, fails, payload_detail, tmp_path,
+                                                    capsys):
+    # the opening gate tests the width alone, so it still passes
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["validate", "--config", str(cfg)]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert [line[7:].split("  ")[0] for line in lines if line.startswith("[FAIL]")] == fails
+    assert f"[FAIL] payload                      {payload_detail}" in lines
+    assert "[PASS] opening gate                 73 mm rejected, 72 mm accepted" in lines
 
 
 def test_unknown_subcommand_rejected(capsys):

@@ -1,12 +1,13 @@
 """Segment-run traces: closed-form step ranges, per-command operating
 points and the streamed CSV.
 
-A trace holds one run per segment, and rows exist only while to_csv
-writes them.  The oracles here are the per-step and per-segment forms
-the runs and their tables replace: stepping `while k * dt < end - _EPS * dt`
-for the step ranges, evaluating the whole chain for every segment for
-the runs, and formatting every column of every `step_records(trace)` row for
-the CSV.
+A trace holds one run (stop, row) per segment and a table of distinct
+output rows, and rows exist only while to_csv writes them.  The oracles
+here are the per-step and per-segment forms the runs and their tables
+replace: stepping `while k * dt < end - _EPS * dt` for the step ranges,
+evaluating the whole chain for every segment, with one output row per
+segment, for the runs, and formatting every column of every
+`step_records(trace)` row for the CSV.
 """
 
 import io
@@ -15,7 +16,7 @@ from dataclasses import replace
 from itertools import cycle
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import flowhand.scenario as scenario_module
@@ -31,9 +32,9 @@ from flowhand.scenario import (
     MAX_ROWS,
     Scenario,
     Segment,
-    SegmentRun,
     SimTrace,
     SimulationError,
+    TraceRow,
     _step_stop,
     load_scenario,
     run_scenario,
@@ -65,14 +66,15 @@ def loop_stop(k: int, end: float, dt: float) -> int:
     return k
 
 
-def row_by_row_csv(trace) -> str:
-    """Every column of every step formatted on its own, as rows used to be."""
+def row_by_row_csv(trace, start=0) -> str:
+    """Every column of every step from `start` formatted on its own, as
+    rows used to be."""
 
     def g(x: float) -> str:
         return format(x, ".6g")
 
     lines = [CSV_HEADER]
-    for rec in step_records(trace):
+    for rec in step_records(trace, start=start):
         lines.append(",".join((
             g(rec.t), g(m3s_to_lpm(rec.q_src)), g(m3s_to_lpm(rec.q1)),
             g(m3s_to_lpm(rec.q2)), g(m3s_to_lpm(rec.q_exhaust)), rec.state.name,
@@ -167,8 +169,8 @@ def test_runs_cover_every_step_in_order():
     segments = tuple(Segment(duration=steps * dt, q_src=lpm_to_m3s(30.0))
                      for steps in (1, 5000, 1, 3))
     trace = run_scenario(Scenario("cover", segments, timestep=dt))
-    assert [(run.first, run.stop) for run in trace.runs] == [
-        (0, 1), (1, 5001), (5001, 5002), (5002, 5005)]
+    assert trace.runs == ((1, 0), (5001, 0), (5002, 0), (5005, 0))
+    assert len(trace.outputs) == 1
     assert len(step_records(trace)) == 5005
 
 
@@ -189,7 +191,7 @@ def test_streamed_csv_flushes_long_traces_whole():
         lines = [text.count("\n") for text in writes]
         assert len(lines) > 1
         assert max(lines) <= _WRITE_ROWS
-        assert sum(lines) == 1 + trace.runs[-1].stop
+        assert sum(lines) == 1 + trace.runs[-1][0]
         assert "".join(writes) == trace.to_csv()
 
 
@@ -219,11 +221,9 @@ def test_percent_formatted_times_match_format(dt, runs):
 
 
 def cut_trace(dt: float, cuts) -> SimTrace:
-    """A trace from step 0 of one held run between each two cuts in turn."""
-    run = run_scenario(held_scenario(0.01, [(1, 30.0)])).runs[0]
-    cuts = sorted({0, *cuts})
-    return SimTrace("cuts", dt, tuple(run._replace(first=a, stop=b)
-                                      for a, b in zip(cuts, cuts[1:])))
+    """A trace from step 0 of one held output row, a run ending at each cut."""
+    outputs = run_scenario(held_scenario(0.01, [(1, 30.0)])).outputs
+    return SimTrace("cuts", dt, tuple((stop, 0) for stop in sorted(set(cuts) - {0})), outputs)
 
 
 def assert_streamed_times(trace, spans) -> None:
@@ -247,19 +247,20 @@ def assert_streamed_times(trace, spans) -> None:
             at += n
 
     trace.to_csv(Sink())
-    assert at == trace.runs[-1].stop
+    assert at == trace.runs[-1][0]
 
 
 @pytest.mark.parametrize("dt", [0.01, 0.25])
 def test_runs_that_do_not_cover_every_step_are_a_value_error(dt):
     # a row's time counts the steps written before it, in the table and
-    # in the formatted times alike, so a trace that starts late or skips
-    # steps would print wrong times
-    run = cut_trace(dt, [3]).runs[0]
-    for runs, first, k in (((run._replace(first=5, stop=8),), 5, 0),
-                           ((run, run._replace(first=4, stop=6)), 4, 3)):
-        with pytest.raises(ValueError, match=f"^a run starts at step {first}, not {k}: "):
-            SimTrace("gap", dt, runs).to_csv()
+    # in the formatted times alike, and a run starts where the one before
+    # it stops, so a run that covers no step, or steps back, would print
+    # wrong times
+    outputs = cut_trace(dt, [3]).outputs
+    for runs, stop, k in ((((0, 0),), 0, 0), (((3, 0), (3, 0)), 3, 3),
+                          (((3, 0), (6, 0), (4, 0)), 4, 6)):
+        with pytest.raises(ValueError, match=f"^a run stops at step {stop}, not after step {k}: "):
+            SimTrace("gap", dt, runs, outputs).to_csv()
 
 
 def test_time_table_matches_format_at_every_step():
@@ -372,7 +373,8 @@ JOINED = {
 @pytest.mark.parametrize("dt, runs", JOINED.values(), ids=JOINED.keys())
 def test_joined_runs_match_row_by_row_formatting(dt, runs):
     trace = run_scenario(held_scenario(dt, runs))
-    assert [run.stop - run.first for run in trace.runs] == [steps for steps, _ in runs]
+    stops = [stop for stop, _ in trace.runs]
+    assert [b - a for a, b in zip([0] + stops, stops)] == [steps for steps, _ in runs]
     writes = streamed_writes(trace)
     assert max(text.count("\n") for text in writes) <= _WRITE_ROWS
     text = "".join(writes)
@@ -388,9 +390,7 @@ def test_joined_run_across_a_million_steps_at_a_tenth_of_a_second():
                                              (40, 5.0)]))
     assert_streamed_times(trace, [(0, 999_900)])
     lines = trace.to_csv().splitlines(True)
-    around = SimTrace("tail", 0.1, tuple(
-        run._replace(first=max(run.first, 999_900)) for run in trace.runs if run.stop > 999_900))
-    assert lines[1 + 999_900:] == row_by_row_csv(around).splitlines(True)[1:]
+    assert lines[1 + 999_900:] == row_by_row_csv(trace, start=999_900).splitlines(True)[1:]
     assert {line.split(",", 1)[1] for line in lines[1:1 + 999_900]} == {
         lines[1 + 999_900].split(",", 1)[1]}
 
@@ -399,13 +399,15 @@ def test_joined_run_across_a_million_steps_at_a_tenth_of_a_second():
 
 def per_segment_run_scenario(scenario, system, scene):
     """The reference for run_scenario: the whole chain evaluated for
-    every segment, with no table of commands, and the friction regime
-    and the event outcomes written out here."""
+    every segment, with no table of commands and one output row per
+    segment, and the friction regime and the event outcomes written out
+    here."""
     consts = system.consts
     hand = system.hand
     lubricated = False
     p_latch = 0.0
     runs = []
+    outputs = []
     results = {}
 
     dt = scenario.timestep
@@ -451,14 +453,16 @@ def per_segment_run_scenario(scenario, system, scene):
             raise ConfigError(
                 f"segment {i} (t={start:g} s, {seg.duration:g} s long) covers no "
                 f"sample at timestep {dt:g} s")
-        runs.append(SegmentRun(k, stop, seg.q_src, out.q1, out.q2, out.q_exhaust,
-                               out.state, p_f, r, f_tip, injecting, friction, seg.event))
+        runs.append((stop, i))
+        outputs.append(TraceRow(seg.q_src, out.q1, out.q2, out.q_exhaust, out.state, p_f, r,
+                                f_tip, injecting, friction))
         # the release wipes the lubricant off after the place segment
         lubricated = lubricated and seg.event != "place"
         k = stop
         start = end
 
-    return SimTrace(name=scenario.name, timestep=dt, runs=tuple(runs), **results)
+    return SimTrace(name=scenario.name, timestep=dt, runs=tuple(runs), outputs=tuple(outputs),
+                    **results)
 
 
 SYSTEM = default_system()
@@ -515,9 +519,35 @@ def test_runs_and_csv_match_per_segment_evaluation(scenario, system):
         assert isinstance(got, SimulationError) and str(got) == str(want)
         return
     # repr tells -0.0 from 0.0, which == does not
-    assert [repr(run) for run in got.runs] == [repr(run) for run in want.runs]
-    assert repr(got) == repr(want)
+    assert [(stop, repr(got.outputs[row])) for stop, row in got.runs] == [
+        (stop, repr(want.outputs[row])) for stop, row in want.runs]
+    assert repr(got._replace(runs=(), outputs=())) == repr(want._replace(runs=(), outputs=()))
+    # the table holds each distinct row once, in order of first use
+    assert len(set(got.outputs)) == len(got.outputs)
+    assert list(dict.fromkeys(row for _, row in got.runs)) == list(range(len(got.outputs)))
     assert got.to_csv() == row_by_row_csv(want)
+
+
+@settings(oracle, max_examples=20)
+@given(repeating_scenarios(), st.data())
+def test_splitting_segments_changes_no_row_and_no_outcome(scenario, data):
+    # each segment that is not a place and covers n >= 2 steps is cut at a
+    # drawn step 0 < j < n, or left whole (j = 0), into two whole-step
+    # halves of its command, the event on the first; a place stays whole,
+    # because the release after it would fall between its halves
+    trace = run_scenario(scenario, SYSTEM, SCENE)
+    dt = scenario.timestep
+    segments = []
+    first = 0
+    for seg, (stop, _) in zip(scenario.segments, trace.runs):
+        n, first = stop - first, stop
+        j = 0 if seg.event == "place" or n < 2 else data.draw(st.integers(0, n - 1))
+        segments += ((Segment(j * dt, seg.q_src, seg.event), Segment((n - j) * dt, seg.q_src))
+                     if j else (seg,))
+    assume(len(segments) > len(scenario.segments))
+    split = run_scenario(Scenario(scenario.name, tuple(segments), timestep=dt), SYSTEM, SCENE)
+    assert split.to_csv() == trace.to_csv()
+    assert split._replace(runs=(), outputs=()) == trace._replace(runs=(), outputs=())
 
 
 @pytest.mark.parametrize("commands, first_bad", [
