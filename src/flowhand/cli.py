@@ -38,7 +38,7 @@ from .scenario import (
     sweep_csv,
     validate_table1,
 )
-from .system import MOTION_MAX_LPM, Q2_ONSET_LPM, Q_AB_LPM, Q_BC_LPM
+from .system import INJECTION_COMMAND_LPM, MOTION_MAX_LPM, Q2_ONSET_LPM, Q_AB_LPM, Q_BC_LPM
 from .tasks import GraspScene, can_grasp, payload
 from .venturi import InfeasibleDesignError, activation_threshold, q2_activation_threshold
 
@@ -134,10 +134,9 @@ def _cmd_table1(args) -> int:
 
 def _protocol_scenario() -> Scenario:
     """Stepped holds through the motion band, then the injection command."""
-    holds = [Segment(duration=1.0, q_src=lpm_to_m3s(q))
-             for q in (10.0, 20.0, 30.0, 40.0, 50.0)]
-    return Scenario(name="protocol", timestep=0.01,
-                    segments=tuple(holds + [Segment(duration=1.0, q_src=lpm_to_m3s(150.0))]))
+    return Scenario(name="protocol", timestep=0.01, segments=tuple(
+        Segment(duration=1.0, q_src=lpm_to_m3s(q))
+        for q in (10.0, 20.0, 30.0, 40.0, 50.0, INJECTION_COMMAND_LPM)))
 
 
 def _cmd_validate(args) -> int:
@@ -165,9 +164,10 @@ def _cmd_validate(args) -> int:
         checks.append((name, lpm is not None and abs(lpm - paper) <= tol,
                        f"{'none' if lpm is None else f'{lpm:.2f}'} L/min vs {paper}"))
 
-    motion, full = (operating_point(lpm_to_m3s(q), system) for q in (MOTION_MAX_LPM, 150.0))
+    motion, full = (operating_point(lpm_to_m3s(q), system)
+                    for q in (MOTION_MAX_LPM, INJECTION_COMMAND_LPM))
     checks.append(("injection gating", not motion.injecting and full.injecting,
-                   "off at 50 L/min, on at 150 L/min"))
+                   f"off at {MOTION_MAX_LPM:g} L/min, on at {INJECTION_COMMAND_LPM:g} L/min"))
 
     # none when state C seals the chamber at a pressure the path sets
     lift = None if motion.finger is None else payload(motion.finger[1], system.hand,

@@ -104,18 +104,6 @@ class FcsOutputs(NamedTuple):
     state: FcsState
 
 
-def split_flow(q_src: float, alpha: float) -> tuple[float, float]:
-    """Split the source flow: (finger-line share, jet-tube share).
-
-    Unit-agnostic (pure ratio): q1 = (1 - alpha) * q_src, q3 = alpha * q_src.
-    """
-    if q_src < 0:
-        raise ValueError(f"q_src must be >= 0, got {q_src}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    return (1.0 - alpha) * q_src, alpha * q_src
-
-
 def lever_force(q3: float, s3: float, rho_air: float) -> float:
     """Momentum force of the jet on the lever: f3 = rho * q3^2 / s3.
 
@@ -128,20 +116,11 @@ def lever_force(q3: float, s3: float, rho_air: float) -> float:
     return rho_air * q3 * q3 / s3
 
 
-def tube_tip_force(f3: float, epsilon: float) -> float:
-    """Pinch force at the lever tip: f1 = epsilon * f3."""
-    if f3 < 0:
-        raise ValueError(f"f3 must be >= 0, got {f3}")
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon}")
-    return epsilon * f3
-
-
 def calibrate_s3(epsilon: float, rho_air: float, q3: float, f1: float) -> float:
     """Back-solve the jet tube area from a measured pinch force.
 
-    Inverts f1 = epsilon * rho * q3^2 / s3, so feeding the result back
-    through lever_force and tube_tip_force recovers f1 exactly.
+    Inverts f1 = epsilon * rho * q3^2 / s3, so epsilon times lever_force
+    at the result recovers f1.
     """
     if not (epsilon > 0 and rho_air > 0 and q3 > 0):
         raise ValueError("epsilon, rho_air and q3 must be > 0")
@@ -157,13 +136,6 @@ def blocking_force(q1: float, curve: PiecewiseLinearCurve) -> float:
     the conversion happens here.
     """
     return curve(m3s_to_lpm(q1))
-
-
-def check_blocking(f1: float, f_block: float) -> bool:
-    """Pinch-off condition: the lever closes the finger line iff f1 >= f_block."""
-    if f1 < 0 or f_block < 0:
-        raise ValueError("forces must be >= 0")
-    return f1 >= f_block
 
 
 def classify_state(q_src: float, cfg: FcsConfig, consts: PhysConstants) -> FcsState:
@@ -187,13 +159,15 @@ def steady_outputs(q_src: float, cfg: FcsConfig, consts: PhysConstants) -> FcsOu
       B: q1 = (1-alpha) q_src, q2 = gamma alpha q_src, exhaust = (1-gamma) alpha q_src
       C: q1 = 0,               q2 = gamma alpha q_src, exhaust = q_src - q2
     """
-    q1, q3 = split_flow(q_src, cfg.alpha)
+    if q_src < 0:
+        raise ValueError(f"q_src must be >= 0, got {q_src}")
+    q1, q3 = (1.0 - cfg.alpha) * q_src, cfg.alpha * q_src
     f3 = lever_force(q3, cfg.s3, consts.rho_air)
-    f1 = tube_tip_force(f3, cfg.epsilon)
+    f1 = cfg.epsilon * f3
     q2 = cfg.gamma * q3
     if f3 < cfg.f_rot:
         state, q2, q_exhaust = FcsState.A, 0.0, q3
-    elif check_blocking(f1, blocking_force(q1, cfg.f_block_curve)):
+    elif f1 >= blocking_force(q1, cfg.f_block_curve):
         state, q1, q_exhaust = FcsState.C, 0.0, q_src - q2
     else:
         state, q_exhaust = FcsState.B, (1.0 - cfg.gamma) * q3
@@ -248,5 +222,4 @@ def calibrate_f_rot(q_ab: float, cfg: FcsConfig, consts: PhysConstants) -> float
     """
     if not q_ab > 0:
         raise ValueError(f"q_ab must be > 0, got {q_ab}")
-    _, q3 = split_flow(q_ab, cfg.alpha)
-    return lever_force(q3, cfg.s3, consts.rho_air)
+    return lever_force(cfg.alpha * q_ab, cfg.s3, consts.rho_air)

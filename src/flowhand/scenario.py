@@ -62,8 +62,6 @@ from .fcs import (
     FcsConfig,
     FcsOutputs,
     FcsState,
-    blocking_force,
-    calibrate_s3,
     lever_flip_flow,
     pinch_crossings,
     steady_outputs,
@@ -73,12 +71,14 @@ from .system import (
     INJECTION_COMMAND_LPM,
     MOTION_MAX_LPM,
     REFERENCE_LABEL,
+    DesignTargets,
     SystemConfig,
     TABLE1,
     blocking_curve,
     default_system,
     listed_inversion_s3,
     prototype,
+    solve_for_targets,
 )
 from .tasks import (
     FrictionState,
@@ -94,8 +94,6 @@ from .venturi import (
     injection_active,
     lubricant_column,
     q2_activation_threshold,
-    size_exhaust,
-    size_orifice,
 )
 
 EVENTS = ("grasp", "lift", "place", "pivot")
@@ -419,8 +417,6 @@ class SimTrace(NamedTuple):
                         s += 1
                         f -= scale
                         sec = str(s)
-                elif c == 1:
-                    rows.append("%.6g" % (k * dt) + tail)
                 else:
                     c = min(c, room)
                     rows += tail.join(["%.6g" % (j * dt) for j in range(k, k + c)]), tail
@@ -698,15 +694,6 @@ def sweep_csv(rows: list[SweepRow], with_scenario: bool = False) -> str:
 
 # --- inverse design ---------------------------------------------------
 
-class DesignTargets(NamedTuple):
-    """Operating points to hit, in L/min: the two state flips and the
-    injection-line flow at which injection starts."""
-
-    q_ab_lpm: float
-    q_bc_lpm: float
-    q2_activation_lpm: float
-
-
 class DesignReport(NamedTuple):
     """Achieved thresholds next to the targets, L/min.
 
@@ -732,17 +719,13 @@ def design_search(
     """Tune jet area, lever onset, injection fraction, and orifice so the
     simulated thresholds hit the targets.
 
-    Keeps the base split ratio, lever arm ratio, and blocking curve;
-    solves the four free parameters in closed form, then reads the
-    thresholds back from the tuned config and gates them on the absolute
-    and the relative tolerance.  The orifice is sized with the source
-    flow equal to the q2 target, as q2_activation_threshold reads it
-    back.  Under the full inlet model the exhaust area s_e is then
-    solved so that the composed system, whose line carries gamma alpha
-    of the source, starts injecting at q_bc; under both models the
-    activation read back from the tuned config is gated on q_bc too.
-    Raises InfeasibleDesignError naming the binding constraint when no
-    setting can work, and ConfigError for a non-finite target.
+    Checks the targets, solves the four free parameters in closed form
+    with solve_for_targets, which gives default_system at the paper's
+    anchors, then reads the thresholds back from the tuned config and
+    gates them on the absolute and the relative tolerance; under both
+    inlet models the activation read back is gated on q_bc too.  Raises
+    InfeasibleDesignError naming the binding constraint when no setting
+    can work, and ConfigError for a non-finite target.
     """
     base = system or default_system()
     consts = base.consts
@@ -762,23 +745,8 @@ def design_search(
             f"q2 activation target {q2_act} L/min exceeds the jet flow at "
             f"pinch-off (alpha * q_bc = {jet_at_bc:.6g} L/min), so no "
             "injection fraction <= 1 can deliver it")
-
-    f_need = blocking_force(lpm_to_m3s((1.0 - fcs.alpha) * q_bc), fcs.f_block_curve)
-    if not f_need > 0:
-        raise InfeasibleDesignError(
-            f"the blocking curve gives {f_need:g} N at the finger-line flow of the "
-            f"q_bc target ({q_bc:g} L/min); pinch-off needs a positive blocking force")
-    s3 = _tuned("jet area s3", targets,
-                calibrate_s3(fcs.epsilon, consts.rho_air, lpm_to_m3s(jet_at_bc), f_need))
-    f_rot = _tuned("lever onset f_rot", targets,
-                   consts.rho_air * (fcs.alpha * lpm_to_m3s(q_ab)) ** 2 / s3)
-    gamma = _tuned("injection fraction gamma", targets, q2_act / jet_at_bc)
-    tuned_fcs = _admissible(fcs, s3=s3, f_rot=f_rot, gamma=gamma)
-    venturi = _admissible(base.venturi, s_out=size_orifice(
-        _tuned("q2 onset in m^3/s", targets, lpm_to_m3s(q2_act)), base.venturi, consts))
-    if not venturi.use_simplified_inlet:
-        venturi = _admissible(venturi, s_e=size_exhaust(lpm_to_m3s(q_bc), venturi,
-                                                        tuned_fcs, consts))
+    tuned_fcs, venturi = solve_for_targets(targets, fcs.alpha, fcs.epsilon, fcs.f_block_curve,
+                                           base.venturi, consts)
     tuned = replace(base, fcs=tuned_fcs, venturi=venturi)
 
     # the composed system must also start injecting at the q_bc target
@@ -794,25 +762,6 @@ def design_search(
             f"{act:g} L/min, wanted within {DESIGN_TOLERANCE_LPM} L/min and "
             f"{DESIGN_REL_TOLERANCE:g} relative")
     return tuned, report
-
-
-def _admissible(cfg, **tuned):
-    """cfg with the tuned fields; a value its checks reject is infeasible, as in _tuned."""
-    try:
-        return replace(cfg, **tuned)
-    except ValueError as exc:
-        raise InfeasibleDesignError(f"no admissible geometry hits the targets: {exc}") from None
-
-
-def _tuned(name: str, targets: DesignTargets, value: float) -> float:
-    """A tuned parameter, which must be positive and finite."""
-    if not 0.0 < value < math.inf:
-        how = "underflows to 0" if value == 0.0 else f"overflows to {value}"
-        raise InfeasibleDesignError(
-            f"{name} {how} for targets q_ab {targets.q_ab_lpm:g}, q_bc "
-            f"{targets.q_bc_lpm:g} and q2 {targets.q2_activation_lpm:g} L/min; "
-            "no finite geometry hits them")
-    return value
 
 
 # --- prototype-table validation ---------------------------------------

@@ -14,19 +14,23 @@ The rows double as calibration data:
   * measured_alpha          alpha from the two measured flows
   * blocking_curve          pinch-shut force vs finger-line flow,
                             pooled from the four (q1_max, f_block) pairs
-  * calibrate_blocking_s3   jet nozzle area placing a row's B -> C flip
-                            exactly at its measured q_src_max
+  * solve_for_targets       jet nozzle area, lever onset, injection
+                            fraction and orifice that put the two flips
+                            and the injection onset on target flows; the
+                            one solve behind default_system and
+                            design-search
   * listed_inversion_s3     nozzle area backed out of a row's published
                             jet flow and pinch force instead
   * prototype_fcs_config    switching config for any row, sharing the
                             reference build's jet constants
-  * default_system          the full tuned stack for build A: switching
-                            lever, injector with the orifice sized for
-                            onset at the B -> C flip, finger, and hand
+  * default_system          the full tuned stack for build A:
+                            solve_for_targets at the measured flips
+                            (8.1 and 118 L/min) and the 44 L/min onset,
+                            plus the finger and the hand
 
 The two s3 calibrations differ by about 2% because the published pinch
 force at the flip (1.01 N) sits slightly above the blocking curve value
-there (0.99 N).  Simulation defaults use calibrate_blocking_s3 so the
+there (0.99 N).  Simulation defaults solve on the blocking curve so the
 flip lands on the measured 118 L/min; the table validator uses
 listed_inversion_s3 because the published force columns are its ground
 truth.
@@ -34,14 +38,15 @@ truth.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from .core import PhysConstants, PiecewiseLinearCurve, lpm_to_m3s, mm2_to_m2
-from .fcs import FcsConfig, blocking_force, calibrate_s3, split_flow
+from .fcs import FcsConfig, blocking_force, calibrate_s3
 from .finger import FingerConfig
 from .tasks import HandConfig
-from .venturi import VenturiConfig, size_orifice
+from .venturi import InfeasibleDesignError, VenturiConfig, size_exhaust, size_orifice
 
 # Measured operating points of the tuned build (flows in L/min).
 Q_AB_LPM = 8.1             # source flow at the A -> B lever flip
@@ -85,6 +90,9 @@ TABLE1: tuple[PrototypeSpec, ...] = (
 )
 
 REFERENCE_LABEL = "A"
+# the reference injector; its orifice s_out is a placeholder that
+# default_system re-sizes for the onset
+_INJECTOR = VenturiConfig(s_in=mm2_to_m2(20.0), s_out=mm2_to_m2(10.0), s_t=mm2_to_m2(3.0))
 
 # Pooled (q1_max [L/min], f_block [N]) pairs from the table, sorted by
 # flow: D, A, C, B.  The blocking force rises with the flow the tube
@@ -120,36 +128,85 @@ def measured_alpha(spec: PrototypeSpec) -> float:
     return (spec.q_src_max - spec.q1_max) / spec.q_src_max
 
 
-def calibrate_blocking_s3(
-    spec: PrototypeSpec,
-    curve: PiecewiseLinearCurve,
-    consts: PhysConstants,
-) -> float:
-    """Jet nozzle area [m^2] placing the B -> C flip exactly at q_src_max.
-
-    At the flip the pinch force equals the blocking force at the
-    finger-line flow, so s3 = epsilon rho q3^2 / f_block(q1_max) with
-    q3 = alpha q_src_max.
-    """
-    alpha = measured_alpha(spec)
-    _, q3 = split_flow(spec.q_src_max, alpha)
-    f_need = blocking_force(spec.q1_max, curve)
-    return calibrate_s3(spec.epsilon, consts.rho_air, q3, f_need)
-
-
 def listed_inversion_s3(spec: PrototypeSpec, consts: PhysConstants) -> float:
     """Jet nozzle area [m^2] backed out of the published q3 and f1 columns."""
     return calibrate_s3(spec.epsilon, consts.rho_air, spec.q3_listed, spec.f1_listed)
 
 
-def reference_gamma() -> float:
-    """Injection fraction of the jet flow, anchored at the tuned onset.
+class DesignTargets(NamedTuple):
+    """Operating points to hit, in L/min: the two state flips and the
+    injection-line flow at which injection starts."""
 
-    At the B -> C flip the jet carries alpha * q_bc and the injection
-    line must carry the onset flow, so gamma = q2_onset / (alpha q_bc).
+    q_ab_lpm: float
+    q_bc_lpm: float
+    q2_activation_lpm: float
+
+
+def solve_for_targets(
+    targets: DesignTargets,
+    alpha: float,
+    epsilon: float,
+    curve: PiecewiseLinearCurve,
+    venturi: VenturiConfig,
+    consts: PhysConstants,
+) -> tuple[FcsConfig, VenturiConfig]:
+    """Switch and injector that put the flips and the onset on targets.
+
+    Keeps the split ratio, lever arm ratio and blocking curve, and
+    solves the four free parameters in closed form:
+
+      s3     the pinch force epsilon rho (alpha q_bc)^2 / s3 meets the
+             blocking force at the finger-line flow (1 - alpha) q_bc
+      f_rot  the jet force rho (alpha q_ab)^2 / s3
+      gamma  q2_activation / (alpha q_bc), so the line carries the
+             onset flow at the B -> C flip
+      s_out  size_orifice at the q2 target, with the source flow equal
+             to it as q2_activation_threshold reads it back; under the
+             full inlet size_exhaust then puts the composed onset at q_bc
+
+    The targets are taken as checked (0 < q_ab < q_bc, 0 < q2_activation
+    <= alpha q_bc).  Raises InfeasibleDesignError naming the parameter
+    when no admissible geometry hits them.
     """
-    alpha = measured_alpha(prototype(REFERENCE_LABEL))
-    return Q2_ONSET_LPM / (alpha * Q_BC_LPM)
+    q_ab, q_bc, q2_act = targets
+    jet_at_bc = alpha * q_bc
+    f_need = blocking_force(lpm_to_m3s((1.0 - alpha) * q_bc), curve)
+    if not f_need > 0:
+        raise InfeasibleDesignError(
+            f"the blocking curve gives {f_need:g} N at the finger-line flow of the "
+            f"q_bc target ({q_bc:g} L/min); pinch-off needs a positive blocking force")
+    s3 = _tuned("jet area s3", targets,
+                calibrate_s3(epsilon, consts.rho_air, lpm_to_m3s(jet_at_bc), f_need))
+    f_rot = _tuned("lever onset f_rot", targets,
+                   consts.rho_air * (alpha * lpm_to_m3s(q_ab)) ** 2 / s3)
+    gamma = _tuned("injection fraction gamma", targets, q2_act / jet_at_bc)
+    fcs = _admissible(FcsConfig, alpha=alpha, epsilon=epsilon, s3=s3, f_rot=f_rot,
+                      f_block_curve=curve, gamma=gamma)
+    venturi = _admissible(replace, venturi, s_out=size_orifice(
+        _tuned("q2 onset in m^3/s", targets, lpm_to_m3s(q2_act)), venturi, consts))
+    if not venturi.use_simplified_inlet:
+        venturi = _admissible(replace, venturi,
+                              s_e=size_exhaust(lpm_to_m3s(q_bc), venturi, fcs, consts))
+    return fcs, venturi
+
+
+def _admissible(make, *args, **fields):
+    """make(*args, **fields); a value the config checks reject is infeasible, as in _tuned."""
+    try:
+        return make(*args, **fields)
+    except ValueError as exc:
+        raise InfeasibleDesignError(f"no admissible geometry hits the targets: {exc}") from None
+
+
+def _tuned(name: str, targets: DesignTargets, value: float) -> float:
+    """A tuned parameter, which must be positive and finite."""
+    if not 0.0 < value < math.inf:
+        how = "underflows to 0" if value == 0.0 else f"overflows to {value}"
+        raise InfeasibleDesignError(
+            f"{name} {how} for targets q_ab {targets.q_ab_lpm:g}, q_bc "
+            f"{targets.q_bc_lpm:g} and q2 {targets.q2_activation_lpm:g} L/min; "
+            "no finite geometry hits them")
+    return value
 
 
 def prototype_fcs_config(label: str) -> FcsConfig:
@@ -160,21 +217,8 @@ def prototype_fcs_config(label: str) -> FcsConfig:
     values calibrated on the reference build; alpha and epsilon are the
     row's own.
     """
-    consts = PhysConstants()
     spec = prototype(label)
-    ref = prototype(REFERENCE_LABEL)
-    curve = blocking_curve()
-    s3 = calibrate_blocking_s3(ref, curve, consts)
-    alpha_ref = measured_alpha(ref)
-    f_rot = consts.rho_air * (alpha_ref * lpm_to_m3s(Q_AB_LPM)) ** 2 / s3
-    return FcsConfig(
-        alpha=measured_alpha(spec),
-        epsilon=spec.epsilon,
-        s3=s3,
-        f_rot=f_rot,
-        f_block_curve=curve,
-        gamma=reference_gamma(),
-    )
+    return replace(default_system().fcs, alpha=measured_alpha(spec), epsilon=spec.epsilon)
 
 
 @dataclass(frozen=True)
@@ -189,20 +233,18 @@ class SystemConfig:
 
 
 def default_system() -> SystemConfig:
-    """The tuned reference system (build A).
+    """The tuned reference system: build A's alpha, epsilon and the
+    pooled blocking curve, solved for the measured flips and onset.
 
-    The injector orifice is sized so the lubricant column tops the
-    55 mm supply tube exactly when the injection line reaches the
-    onset flow, which the switch delivers at the B -> C flip.
+    So the A -> B flip sits at 8.1 L/min, the B -> C flip at 118 L/min,
+    and the orifice lets the lubricant column top the 55 mm supply tube
+    exactly when the injection line reaches 44 L/min, which the switch
+    delivers at the B -> C flip.
     """
     consts = PhysConstants()
-    fcs = prototype_fcs_config(REFERENCE_LABEL)
-    seed = VenturiConfig(s_in=mm2_to_m2(20.0), s_out=mm2_to_m2(10.0), s_t=mm2_to_m2(3.0))
-    s_out = size_orifice(lpm_to_m3s(Q2_ONSET_LPM), seed, consts)
-    return SystemConfig(
-        consts=consts,
-        fcs=fcs,
-        venturi=replace(seed, s_out=s_out),
-        finger=FingerConfig(),
-        hand=HandConfig(),
-    )
+    spec = prototype(REFERENCE_LABEL)
+    fcs, venturi = solve_for_targets(
+        DesignTargets(Q_AB_LPM, Q_BC_LPM, Q2_ONSET_LPM), measured_alpha(spec), spec.epsilon,
+        blocking_curve(), _INJECTOR, consts)
+    return SystemConfig(consts=consts, fcs=fcs, venturi=venturi,
+                        finger=FingerConfig(), hand=HandConfig())

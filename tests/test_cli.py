@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from flowhand import cli
 from flowhand.cli import main
 from flowhand.config import SCHEMA, ConfigError, load_system, system_to_dict
-from flowhand.scenario import CSV_HEADER
+from flowhand.scenario import CSV_HEADER, sweep
 
 SCENARIO = {
     "name": "pick",
@@ -764,6 +764,44 @@ def test_full_inlet_design_injects_at_its_q_bc_target(p_src, s_src, s_e):
             lines = out.getvalue().splitlines()
             assert lines[5] == "venturi.h_t_mm,55,8.1,118,118"
             assert [row.split(",")[9] for row in lines[7:9]] == ["0", "1"]
+
+
+# in-range values of three keys that move the thresholds, as in the benchmark's sweeps
+AGREEMENT_RANGES = {"fcs.epsilon": (2.0, 3.5), "fcs.q_ab_lpm": (5.0, 20.0),
+                    "venturi.h_t_mm": (40.0, 70.0)}
+VALIDATE_READING = re.compile(
+    r"^\[(?:PASS|FAIL)\] (lever flip|pinch-off flip|injection activation) +(\S+) L/min vs ",
+    re.MULTILINE)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(setting=st.one_of(*(st.tuples(st.just(key), st.floats(lo, hi))
+                           for key, (lo, hi) in AGREEMENT_RANGES.items())))
+def test_sweep_validate_and_simulate_agree_on_the_thresholds(setting):
+    # on one config, validate prints sweep's unrounded thresholds to its
+    # two decimals, and simulate flips A -> B, B -> C and the injection
+    # between q (1 - 1e-9) and q (1 + 1e-9) of each of them
+    key, value = setting
+    row = sweep(key, [value])[0]
+    thresholds = (row.q_ab_lpm, row.q_bc_lpm, row.activation_lpm)
+    section, name = key.split(".")
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, scenario = str(Path(tmp, "cfg.json")), str(Path(tmp, "scenario.json"))
+        Path(cfg).write_text(json.dumps({section: {name: value}}))
+        Path(scenario).write_text(json.dumps({"segments": [
+            {"duration_s": 0.01, "q_src_lpm": q * side}
+            for q in thresholds for side in (1.0 - 1e-9, 1.0 + 1e-9)]}))
+        validated, simulated = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(validated):
+            assert main(["validate", "--config", cfg]) in (0, 2)
+        with contextlib.redirect_stdout(simulated), contextlib.redirect_stderr(io.StringIO()):
+            assert main(["simulate", scenario, "--config", cfg]) == 0
+    assert VALIDATE_READING.findall(validated.getvalue()) == [
+        (check, f"{q:.2f}") for check, q in
+        zip(("lever flip", "pinch-off flip", "injection activation"), thresholds)]
+    rows = [line.split(",") for line in simulated.getvalue().splitlines()[1:]]
+    assert [r[5] for r in rows[:4]] == ["A", "B", "B", "C"]
+    assert [r[9] for r in rows[4:]] == ["0", "1"]
 
 
 # --- every subcommand, every input ------------------------------------

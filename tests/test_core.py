@@ -73,8 +73,8 @@ def test_curve_interpolates_between_knots():
 
 
 def test_curve_interpolation_stays_within_its_knots():
-    # the plain formula rounds to -8.9e-16 N here, a negative blocking
-    # force that check_blocking refused with a ValueError
+    # the plain formula rounds to -8.9e-16 N here: a negative blocking
+    # force, below both knots' forces
     curve = PiecewiseLinearCurve(((-480.22697301760286, 7.994302050787598),
                                   (2.5423728813559268, 0.0), (3.5423728813559268, 0.0)))
     assert curve(2.5423728813559254) == 0.0

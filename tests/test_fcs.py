@@ -12,12 +12,9 @@ from flowhand.fcs import (
     blocking_force,
     calibrate_f_rot,
     calibrate_s3,
-    check_blocking,
     classify_state,
     lever_force,
-    split_flow,
     steady_outputs,
-    tube_tip_force,
 )
 from flowhand.system import blocking_curve, prototype_fcs_config
 
@@ -37,14 +34,6 @@ def make_config(**overrides) -> FcsConfig:
     return FcsConfig(**base)
 
 
-def test_split_flow_proportions():
-    q1, q3 = split_flow(lpm_to_m3s(118.0), 116.0 / 118.0)
-    assert q1 == pytest.approx(lpm_to_m3s(2.0), rel=1e-12)
-    assert q3 == pytest.approx(lpm_to_m3s(116.0), rel=1e-12)
-    q1, q3 = split_flow(0.0, 0.5)
-    assert q1 == 0.0 and q3 == 0.0
-
-
 def test_lever_force_momentum_flux():
     # f3 = rho q3^2 / s3; jet of 116 L/min through the inverted nozzle
     f3 = lever_force(lpm_to_m3s(116.0), 1.1546402640264025e-5, 1.2)
@@ -58,11 +47,6 @@ def test_lever_force_quadratic_in_flow():
     assert f_2 == pytest.approx(4.0 * f_1, rel=1e-12)
 
 
-def test_tube_tip_force_lever_ratio():
-    assert tube_tip_force(0.5, 2.6) == pytest.approx(1.3)
-    assert tube_tip_force(0.5, 1.5) == pytest.approx(0.75)
-
-
 def test_calibrate_s3_closed_form():
     # epsilon rho q3^2 / f1 with the published operating point
     s3 = calibrate_s3(2.6, 1.2, lpm_to_m3s(116.0), 1.01)
@@ -73,7 +57,7 @@ def test_calibrate_s3_closed_form():
 
 def test_calibrate_s3_round_trips_through_force():
     s3 = calibrate_s3(2.6, 1.2, lpm_to_m3s(116.0), 1.01)
-    f1 = tube_tip_force(lever_force(lpm_to_m3s(116.0), s3, 1.2), 2.6)
+    f1 = 2.6 * lever_force(lpm_to_m3s(116.0), s3, 1.2)
     assert f1 == pytest.approx(1.01, rel=1e-12)
 
 
@@ -83,10 +67,20 @@ def test_blocking_force_uses_curve_in_lpm():
     assert blocking_force(lpm_to_m3s(10.5), curve) == pytest.approx(1.34, rel=1e-9)
 
 
-def test_check_blocking_boundary_inclusive():
-    assert check_blocking(1.0, 1.0)
-    assert check_blocking(1.1, 1.0)
-    assert not check_blocking(0.99, 1.0)
+def test_steady_outputs_pinch_boundary_inclusive():
+    # the lever closes the finger line once f1 reaches f_block: a flat
+    # blocking curve at exactly f1 gives state C, one ulp above it B
+    q = lpm_to_m3s(50.0)
+    f1 = steady_outputs(q, make_config(), CONSTS).f1
+
+    def state(f_block):
+        cfg = make_config(f_block_curve=PiecewiseLinearCurve(((0.0, f_block),)))
+        return steady_outputs(q, cfg, CONSTS).state
+
+    assert state(f1) is FcsState.C
+    assert state(1.1 * f1) is FcsState.B
+    assert state(math.nextafter(f1, math.inf)) is FcsState.B
+    assert state(0.9 * f1) is FcsState.C
 
 
 def test_classify_state_thresholds():
@@ -102,6 +96,8 @@ def test_classify_state_thresholds():
 
 def test_zero_flow_is_state_a():
     assert classify_state(0.0, make_config(), CONSTS) is FcsState.A
+    out = steady_outputs(0.0, make_config(), CONSTS)
+    assert out.q1 == out.q3 == 0.0
 
 
 def test_steady_outputs_state_a():
@@ -118,6 +114,8 @@ def test_steady_outputs_state_b_splits_injection():
     out = steady_outputs(lpm_to_m3s(50.0), cfg, CONSTS)
     assert out.state is FcsState.B
     assert out.q1 > 0.0
+    assert out.q3 == pytest.approx(lpm_to_m3s(50.0) * cfg.alpha, rel=1e-12)
+    assert out.f1 == pytest.approx(cfg.epsilon * out.f3, rel=1e-12)
     assert out.q2 == pytest.approx(cfg.gamma * out.q3, rel=1e-12)
     assert out.q_exhaust == pytest.approx((1 - cfg.gamma) * out.q3, rel=1e-12)
 
@@ -195,7 +193,7 @@ def test_config_validation():
 
 
 def test_negative_flow_rejected():
-    with pytest.raises(ValueError):
-        split_flow(-1.0, 0.5)
+    with pytest.raises(ValueError, match="q_src must be >= 0"):
+        steady_outputs(-1.0, make_config(), CONSTS)
     with pytest.raises(ValueError):
         lever_force(-1.0, 1e-5, 1.2)

@@ -561,7 +561,21 @@ def test_design_search_reproduces_reference():
     assert report.achieved[0] == pytest.approx(8.1, abs=0.05)
     assert report.achieved[1] == pytest.approx(118.0, abs=0.05)
     assert report.achieved[2] == pytest.approx(44.0, abs=0.05)
-    assert tuned.fcs.s3 == pytest.approx(default_system().fcs.s3, rel=1e-9)
+    # the reference system is design search's own solve at the paper's anchors
+    assert tuned == default_system()
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(q_ab=st.floats(0.5, 40.0), q_bc=st.floats(45.0, 149.0), share=st.floats(0.02, 0.99),
+       full_inlet=st.booleans())
+def test_design_search_keeps_its_own_design(q_ab, q_bc, share, full_inlet):
+    # a tuned system is a fixed point of the design search that made it,
+    # under both inlet models
+    base = load_system({"venturi": {"use_simplified_inlet": False, "p_src_kpa_abs": 101.4,
+                                    "s_src_mm2": 20, "s_e_mm2": 30}} if full_inlet else None)
+    targets = DesignTargets(q_ab, q_bc, share * min(100.0, base.fcs.alpha * q_bc))
+    tuned, _ = design_search(targets, base)
+    assert design_search(targets, tuned)[0] == tuned
 
 
 def test_design_search_new_targets():

@@ -11,13 +11,11 @@ from flowhand.system import (
     REFERENCE_LABEL,
     TABLE1,
     blocking_curve,
-    calibrate_blocking_s3,
     default_system,
     listed_inversion_s3,
     measured_alpha,
     prototype,
     prototype_fcs_config,
-    reference_gamma,
 )
 from flowhand.venturi import size_orifice
 
@@ -67,20 +65,20 @@ def test_blocking_curve_matches_knots():
     assert curve(1.85) == pytest.approx(0.985, rel=1e-12)
 
 
-def test_calibrate_blocking_s3_closed_form():
+def test_default_s3_closed_form():
     spec = prototype("A")
     alpha = measured_alpha(spec)
     q3 = alpha * spec.q_src_max
     q1_lpm = m3s_to_lpm(spec.q_src_max - q3)
     expect = spec.epsilon * CONSTS.rho_air * q3 ** 2 / blocking_curve()(q1_lpm)
-    s3 = calibrate_blocking_s3(spec, blocking_curve(), CONSTS)
+    s3 = default_system().fcs.s3
     assert s3 == pytest.approx(expect, rel=1e-12)
     assert s3 == pytest.approx(1.1779663299663298e-5, rel=1e-12)
 
 
 def test_calibrated_s3_flips_exactly_at_pinch_off():
     spec = prototype("A")
-    s3 = calibrate_blocking_s3(spec, blocking_curve(), CONSTS)
+    s3 = default_system().fcs.s3
     alpha = measured_alpha(spec)
     q1 = (1 - alpha) * spec.q_src_max
     q3 = alpha * spec.q_src_max
@@ -97,11 +95,12 @@ def test_listed_inversion_s3_closed_form():
 
 
 def test_reference_gamma():
-    assert reference_gamma() == pytest.approx(44.0 / 116.0, rel=1e-12)
+    assert default_system().fcs.gamma == pytest.approx(44.0 / 116.0, rel=1e-12)
 
 
 def test_prototype_configs_share_valve_geometry():
     ref = prototype_fcs_config("A")
+    assert ref == default_system().fcs
     for label in "BCD":
         cfg = prototype_fcs_config(label)
         assert cfg.s3 == ref.s3

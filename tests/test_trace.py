@@ -471,7 +471,8 @@ SYSTEM = default_system()
 # such a gain, so it is set past the check to reach the runtime guard
 RUNAWAY = replace(SYSTEM, finger=FingerConfig())
 object.__setattr__(RUNAWAY.finger, "tipforce_gain", 1e308)
-# a few commands per state, so they repeat: A below 8.1 L/min, C from 118
+# a few commands per state, so they repeat: A below 8.1 L/min, C from 118;
+# 118.0 itself sits on the flip, where rounding of s3 picks the state
 PALETTE = {
     "A": (0.0, -0.0, 5.0),
     "B": (10.0, 30.0, 50.0, 75.0),
