@@ -13,19 +13,22 @@ So a trace stores one run (stop, row) per segment, the step after the
 segment's last one and an index into the trace's table of distinct
 output rows, and never one object per step.  SimTrace.to_csv expands
 the rows while it writes them, at most _WRITE_ROWS lines per write,
-formatting each row of the table once.  Its time column repeats too:
-for a short decimal timestep of at most 0.1 s, such as 0.01, every row
-of one whole second shares the second's digits str(s) and differs only
-in a fractional suffix from a table, so one loop writes each run's
-stretch within one second as one join of its suffixes, with the bytes a
-float formatted per row would give and no time string made per row.
+formatting each distinct flow and finger text once.  Its time column
+repeats too: for a short decimal timestep of at most 0.1 s, such as
+0.01, every row of one whole second shares the second's digits str(s)
+and differs only in a fractional suffix from a table, so one loop
+writes each run's stretch within one second as one join of its
+suffixes, with the bytes a float formatted per row would give and no
+time string made per row.
 
 And since the hand has one input, a scenario of thousands of segments
-repeats a few segments and reuses a few operating points: load_scenario
-checks and builds each distinct segment once per file, run_scenario
-evaluates each distinct command once per run and adds each distinct
-output row once, each in a table local to the call, and only the latch,
-the friction regime and the events run per segment.
+repeats a few segments and reuses a few operating points.  So, in tables
+local to the call, load_scenario builds each distinct segment once per
+file, and run_scenario evaluates each distinct command, adds each
+(command, latch, friction) row and decides each (event, latch, friction)
+outcome once per run, the latch indexing the distinct finger outputs.
+Per segment run only table lookups, the latch, the friction regime and
+one closed-form pass for all the stops, _stops.
 
 The finger pressure latches because pinch-off seals the finger line:
 whatever air is in the chamber stays there while the switch is in the
@@ -44,7 +47,7 @@ import io
 import math
 from dataclasses import replace
 from functools import cache
-from itertools import groupby
+from itertools import accumulate, groupby
 from typing import NamedTuple
 
 from .config import ConfigError, _config_path, _float, _number, apply_override, read_json
@@ -268,24 +271,25 @@ def _segment(seg, i: int) -> Segment:
     """Raw segment `i` checked and built; a ConfigError names what is wrong.
 
     Here the keys, the event and the type of each number are checked;
-    Segment checks the values, each once."""
-    path = f"segments[{i}]"
+    Segment checks the values, each once.  The key path segments[i] is
+    formatted only into an error."""
     if not isinstance(seg, dict):
-        raise ConfigError(f"{path}: expected an object")
+        raise ConfigError(f"segments[{i}]: expected an object")
     for key in seg:
         if key not in ("duration_s", "q_src_lpm", "event"):
-            raise ConfigError(f"unknown scenario key '{path}.{key}'")
+            raise ConfigError(f"unknown scenario key 'segments[{i}].{key}'")
     if "duration_s" not in seg or "q_src_lpm" not in seg:
-        raise ConfigError(f"{path}: needs duration_s and q_src_lpm")
+        raise ConfigError(f"segments[{i}]: needs duration_s and q_src_lpm")
     event = seg.get("event")
     if event is not None and event not in EVENTS:
-        raise ConfigError(f"{path}.event: unknown event {event!r}; know {EVENTS}")
+        raise ConfigError(f"segments[{i}].event: unknown event {event!r}; know {EVENTS}")
     try:
-        return Segment(_float(seg["duration_s"], f"{path}.duration_s"),
-                       _float(seg["q_src_lpm"], f"{path}.q_src_lpm") / LPM_PER_M3S,
-                       event)
+        return Segment(_float(seg["duration_s"], "duration_s"),
+                       _float(seg["q_src_lpm"], "q_src_lpm") / LPM_PER_M3S, event)
+    except ConfigError as exc:          # "<key>: ...", from _float
+        raise ConfigError(f"segments[{i}].{exc}") from None
     except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        raise ConfigError(f"segments[{i}]: {exc}") from exc
 
 
 class TraceRow(NamedTuple):
@@ -303,8 +307,10 @@ class TraceRow(NamedTuple):
     friction: FrictionState
 
 
-# a CSV row is its time text plus this tail of its run's row of outputs
-_ROW_TAIL = ",{:.6g},{:.6g},{:.6g},{:.6g},{},{:.6g},{:.6g},{:.6g},{},{}\n".format
+# a CSV row is its time text plus the tail of its run's row of outputs:
+# the row's flow text, its finger text, its injection and its friction
+_FLOW_TEXT = ",{:.6g},{:.6g},{:.6g},{:.6g},{}".format
+_FINGER_TEXT = ",{:.6g},{:.6g},{:.6g},".format
 # the most lines a streamed to_csv holds before it writes them out
 _WRITE_ROWS = 4096
 
@@ -364,10 +370,13 @@ class SimTrace(NamedTuple):
         """The trace as CSV, one row per step.
 
         The row of step k is its time "%.6g" % (k * dt) plus the tail of
-        its run's row of outputs, each tail formatted once per call.
-        Equal fields give equal text except 0.0 and -0.0, and run_scenario
-        stores no -0.0: Segment and the calibration curves drop the sign
-        of zero.
+        its run's row of outputs, each tail made once per call from texts
+        tabled by value: a flow text per distinct (q_src, q1, q2,
+        q_exhaust, state), a finger text per distinct (p_f, r, f_tip),
+        then the injection digit and the friction.  Fields that compare
+        equal share a text, so 0.0 and -0.0 print as the first of them;
+        run_scenario stores no -0.0, as Segment and the calibration
+        curves drop the sign of zero.
 
         One loop writes each run in chunks, a chunk being the part of a
         run within one whole second and one write.  Where _time_table
@@ -394,11 +403,18 @@ class SimTrace(NamedTuple):
         k, s, f, sec = 0, 0, 0, "0"
         rows = [CSV_HEADER + "\n"]
         room = _WRITE_ROWS - 1          # lines the buffer takes before a write
-        tails = [_ROW_TAIL(m3s_to_lpm(o.q_src), m3s_to_lpm(o.q1), m3s_to_lpm(o.q2),
-                           m3s_to_lpm(o.q_exhaust), o.state.name, pa_to_kpa(o.p_f),
-                           m_to_mm(o.r), o.f_tip, "1" if o.injection else "0",
-                           o.friction.value)
-                 for o in self.outputs]
+        flows: dict = {}
+        fingers: dict = {}
+        tails = []
+        for q_src, q1, q2, q_exhaust, state, p_f, r, f_tip, injection, friction in self.outputs:
+            flow = flows.get(key := (q_src, q1, q2, q_exhaust, state))
+            if flow is None:
+                flow = flows[key] = _FLOW_TEXT(m3s_to_lpm(q_src), m3s_to_lpm(q1), m3s_to_lpm(q2),
+                                               m3s_to_lpm(q_exhaust), state.name)
+            finger = fingers.get(key := (p_f, r, f_tip))
+            if finger is None:
+                finger = fingers[key] = _FINGER_TEXT(pa_to_kpa(p_f), m_to_mm(r), f_tip)
+            tails.append(f"{flow}{finger}{'1' if injection else '0'},{friction.value}\n")
         for stop, row in self.runs:
             if stop <= k:
                 raise ValueError(f"a run stops at step {stop}, not after step {k}: every "
@@ -430,24 +446,35 @@ class SimTrace(NamedTuple):
         return sink.getvalue() if out is None else None
 
 
-def _step_stop(first: int, end: float, dt: float) -> int:
-    """The step after the last one of a segment that ends at `end`.
+_FRICTION = (FrictionState.HIGH, FrictionState.LOW)      # indexed by run_scenario's `low`
 
-    The smallest k >= first with k * dt >= end - _EPS * dt, which is
-    where stepping `while k * dt < end - _EPS * dt: k += 1` from `first`
-    stops; the ceiling lands within one step of it and the float
-    products settle it.  The tolerance is relative to the timestep, so
-    a segment keeps its steps however small dt is.
+
+def _stops(ends, dt: float) -> list[int]:
+    """The step after the last one of each segment, for segments that end
+    at `ends` in turn, each from the step the one before it stops at.
+
+    Stepping `while k * dt < end - _EPS * dt: k += 1` from the stop
+    before stops at the larger of that stop and the smallest k with
+    k * dt >= end - _EPS * dt, as k * dt grows with k.  The ceiling of
+    (end - _EPS * dt) / dt lands within one step of that k, and one float
+    product either way settles it.  The tolerance is relative to the
+    timestep, so a segment keeps its steps however small dt is.
     """
-    edge = end - _EPS * dt
-    if edge <= first * dt:
-        return first
-    k = math.ceil(edge / dt)
-    while k * dt < edge:
-        k += 1
-    while k > first and (k - 1) * dt >= edge:
-        k -= 1
-    return max(k, first)
+    tol = _EPS * dt
+    ceil = math.ceil
+    stops = []
+    k = 0
+    for end in ends:
+        edge = end - tol
+        j = ceil(edge / dt)
+        if j * dt < edge:
+            j += 1
+        elif (j - 1) * dt >= edge:
+            j -= 1
+        if j > k:
+            k = j
+        stops.append(k)
+    return stops
 
 
 def run_scenario(
@@ -458,90 +485,102 @@ def run_scenario(
     """Execute a scenario; reruns are bit-identical.
 
     Each segment becomes one run (stop, row): the step after its last,
-    in closed form, and the index of its outputs in the trace's table.
-    Nothing is built per step; rows exist only while SimTrace.to_csv
-    writes them.  Each distinct command is evaluated once, at its first
-    segment, which is also where a non-finite output raises
-    SimulationError, and each distinct (command, latched outputs,
-    friction) adds one row.  The latched pressure and the friction
-    regime carry across segments.  Friction starts HIGH, turns LOW at a
-    segment that injects and stays LOW until a place event releases the
-    object and wipes the lubricant: the place segment still reads LOW,
-    the next one HIGH.  Task events fire at segment start, after its
-    injection; grasp, lift, and place need a scene, and the last event
-    of each kind wins.  A segment that covers no timestep sample is a
-    ConfigError.
+    from one _stops pass over the segment ends, and the index of its
+    outputs in the trace's table.  Nothing is built per step; rows exist
+    only while SimTrace.to_csv writes them.  Each distinct command is
+    evaluated once, at its first segment, which is also where a
+    non-finite output raises SimulationError; each distinct (command,
+    latch, friction) adds one row, and each distinct (event, latch,
+    friction) has its outcome decided once.  The latched pressure and
+    the friction regime carry across segments.  Friction starts HIGH,
+    turns LOW at a segment that injects and stays LOW until a place
+    event releases the object and wipes the lubricant: the place segment
+    still reads LOW, the next one HIGH.  Task events fire at segment
+    start, after its injection; grasp, lift, and place need a scene, and
+    the last event of each kind wins.  A segment that covers no timestep
+    sample is a ConfigError.
     """
     system = system or default_system()
     consts = system.consts
     hand = system.hand
-    # q_src -> its OperatingPoint; in state C the latch holds the finger
-    # outputs (p_f, f_tip, r) of the last command that reached the chamber,
-    # or of the empty chamber before any did
-    points: dict = {}
-    held = _finger_outputs(0.0, system.finger)
-    friction = FrictionState.HIGH
-    low = FrictionState.LOW
-    # (q_src, held, friction is low) -> its index in outputs; an enum hashes in Python
-    rows: dict = {}
-    outputs: list[TraceRow] = []
-    grasp_ok = lift_ok = place_outcome = pivot_ok = None
-    runs: list[tuple[int, int]] = []
-
     dt = scenario.timestep
-    k = 0
-    start = 0.0
-    for i, seg in enumerate(scenario.segments):
-        end = start + seg.duration
+    # segment i starts at starts[i] and step steps[i] and stops before
+    # step steps[i + 1]
+    starts = [0.0, *accumulate(seg.duration for seg in scenario.segments)]
+    steps = _stops(starts, dt)
+    stops = steps[1:]
+    # q_src -> (its switch outputs, whether it injects, its latch or None)
+    points: dict = {}
+    # the latch indexes fingers, the distinct finger outputs (p_f, f_tip,
+    # r); in state C it holds those of the last command that reached the
+    # chamber, or of the empty chamber before any did
+    fingers = [_finger_outputs(0.0, system.finger)]
+    latches = {fingers[0]: 0}
+    latch = 0
+    low = False                # friction is LOW
+    rows: dict = {}            # (q_src, latch, low) -> its index in outputs
+    outputs: list[TraceRow] = []
+    outcomes: dict = {}        # (event, latch, low) -> its outcome
+    last: dict = {}            # event -> its last outcome
+    row_of: list[int] = []     # each segment's row, so far
+
+    for seg, k, stop in zip(scenario.segments, steps, stops):
         q_src = seg.q_src
         point = points.get(q_src)
         if point is None:
             try:
-                point = points[q_src] = operating_point(q_src, system)
+                out, injecting, finger = operating_point(q_src, system)
             except SimulationError as exc:
-                raise SimulationError(f"{exc} in segment {i} (t={start:g} s)") from None
+                i = len(row_of)
+                raise SimulationError(f"{exc} in segment {i} (t={starts[i]:g} s)") from None
+            if finger is not None:
+                latch_of = latches.setdefault(finger, len(fingers))
+                if latch_of == len(fingers):
+                    fingers.append(finger)
+                finger = latch_of
+            point = points[q_src] = out, injecting, finger
         out, injecting, finger = point
         if finger is not None:
-            held = finger
+            latch = finger
         if injecting:
-            friction = low
+            low = True
 
         event = seg.event
         if event is not None:
-            if scene is None and event != "pivot":
-                raise ConfigError(f"segment {i}: event '{event}' needs a scene")
-            f_tip = held[1]
-            if event == "grasp":
-                grasp_ok = can_grasp(scene, f_tip, hand, consts, mu=hand.mu(friction))
-            elif event == "pivot":
-                pivot_ok = pivot_feasible(hand.mu(friction), hand)
-            else:
-                outcome = placement_slip(scene, f_tip, hand, friction, consts)
-                if event == "lift":
-                    lift_ok = outcome is PlacementOutcome.HELD_FIXED
+            result = outcomes.get(key := (event, latch, low))
+            if result is None:
+                if scene is None and event != "pivot":
+                    raise ConfigError(f"segment {len(row_of)}: event '{event}' needs a scene")
+                friction = _FRICTION[low]
+                f_tip = fingers[latch][1]
+                if event == "grasp":
+                    result = can_grasp(scene, f_tip, hand, consts, mu=hand.mu(friction))
+                elif event == "pivot":
+                    result = pivot_feasible(hand.mu(friction), hand)
                 else:
-                    place_outcome = outcome
+                    result = placement_slip(scene, f_tip, hand, friction, consts)
+                    if event == "lift":
+                        result = result is PlacementOutcome.HELD_FIXED
+                outcomes[key] = result
+            last[event] = result
 
-        stop = _step_stop(k, end, dt)
         if stop == k:
-            raise ConfigError(
-                f"segment {i} (t={start:g} s, {seg.duration:g} s long) covers no "
-                f"sample at timestep {dt:g} s")
-        key = (q_src, held, friction is low)
-        row = rows.get(key)
+            i = len(row_of)
+            raise ConfigError(f"segment {i} (t={starts[i]:g} s, {seg.duration:g} s long) "
+                              f"covers no sample at timestep {dt:g} s")
+        row = rows.get(key := (q_src, latch, low))
         if row is None:
             row = rows[key] = len(outputs)
-            p_f, f_tip, r = held
+            p_f, f_tip, r = fingers[latch]
             outputs.append(TraceRow(q_src, out.q1, out.q2, out.q_exhaust, out.state, p_f, r,
-                                    f_tip, injecting, friction))
-        runs.append((stop, row))
+                                    f_tip, injecting, _FRICTION[low]))
+        row_of.append(row)
         if event == "place":       # object gone, lubricant wiped with it
-            friction = FrictionState.HIGH
-        k = stop
-        start = end
+            low = False
 
-    return SimTrace(scenario.name, dt, tuple(runs), tuple(outputs),
-                    grasp_ok, lift_ok, place_outcome, pivot_ok)
+    # the outcome fields follow EVENTS: grasp_ok, lift_ok, place_outcome, pivot_ok
+    return SimTrace(scenario.name, dt, tuple(zip(stops, row_of)), tuple(outputs),
+                    *map(last.get, EVENTS))
 
 
 def _check_finite(*values: tuple[str, float]) -> None:

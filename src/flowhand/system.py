@@ -21,8 +21,6 @@ The rows double as calibration data:
                             design-search
   * listed_inversion_s3     nozzle area backed out of a row's published
                             jet flow and pinch force instead
-  * prototype_fcs_config    switching config for any row, sharing the
-                            reference build's jet constants
   * default_system          the full tuned stack for build A:
                             solve_for_targets at the measured flips
                             (8.1 and 118 L/min) and the 44 L/min onset,
@@ -103,11 +101,16 @@ DEFAULT_F_BLOCK_KNOTS: tuple[tuple[float, float], ...] = (
     (2.4, 1.02),
     (10.5, 1.34),
 )
+# immutable values, so each is built and checked once, here
+_BLOCKING_CURVE = PiecewiseLinearCurve(DEFAULT_F_BLOCK_KNOTS)
+_FINGER = FingerConfig()
+_HAND = HandConfig()
 
 
 def blocking_curve() -> PiecewiseLinearCurve:
-    """Pinch-shut force [N] vs finger-line flow [L/min], table-pooled."""
-    return PiecewiseLinearCurve(DEFAULT_F_BLOCK_KNOTS)
+    """Pinch-shut force [N] vs finger-line flow [L/min], table-pooled;
+    the one curve built at import."""
+    return _BLOCKING_CURVE
 
 
 def prototype(label: str) -> PrototypeSpec:
@@ -209,18 +212,6 @@ def _tuned(name: str, targets: DesignTargets, value: float) -> float:
     return value
 
 
-def prototype_fcs_config(label: str) -> FcsConfig:
-    """Switching-mechanism config for one table row.
-
-    The jet nozzle area, lever-rotation onset, and injection fraction
-    are properties of the shared lever hardware, so every row uses the
-    values calibrated on the reference build; alpha and epsilon are the
-    row's own.
-    """
-    spec = prototype(label)
-    return replace(default_system().fcs, alpha=measured_alpha(spec), epsilon=spec.epsilon)
-
-
 @dataclass(frozen=True)
 class SystemConfig:
     """The full stack: constants, switch, injector, finger, hand."""
@@ -245,6 +236,5 @@ def default_system() -> SystemConfig:
     spec = prototype(REFERENCE_LABEL)
     fcs, venturi = solve_for_targets(
         DesignTargets(Q_AB_LPM, Q_BC_LPM, Q2_ONSET_LPM), measured_alpha(spec), spec.epsilon,
-        blocking_curve(), _INJECTOR, consts)
-    return SystemConfig(consts=consts, fcs=fcs, venturi=venturi,
-                        finger=FingerConfig(), hand=HandConfig())
+        _BLOCKING_CURVE, _INJECTOR, consts)
+    return SystemConfig(consts=consts, fcs=fcs, venturi=venturi, finger=_FINGER, hand=_HAND)

@@ -1,6 +1,7 @@
 """Flow-switching lever: split, jet force, blocking, state classification."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,9 +17,15 @@ from flowhand.fcs import (
     lever_force,
     steady_outputs,
 )
-from flowhand.system import blocking_curve, prototype_fcs_config
+from flowhand.system import blocking_curve, default_system, measured_alpha, prototype
 
 CONSTS = PhysConstants()
+
+
+def prototype_fcs_config(label: str) -> FcsConfig:
+    """The reference switch with one table row's own alpha and epsilon."""
+    spec = prototype(label)
+    return replace(default_system().fcs, alpha=measured_alpha(spec), epsilon=spec.epsilon)
 
 
 def make_config(**overrides) -> FcsConfig:

@@ -1,11 +1,12 @@
 """Prototype table, calibration chain, and assembled system defaults."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
 from flowhand.core import PhysConstants, lpm_to_m3s, m3s_to_lpm, mm2_to_m2
-from flowhand.fcs import blocking_force, classify_state, lever_force
+from flowhand.fcs import FcsConfig, blocking_force, classify_state, lever_force
 from flowhand.system import (
     DEFAULT_F_BLOCK_KNOTS,
     REFERENCE_LABEL,
@@ -15,11 +16,20 @@ from flowhand.system import (
     listed_inversion_s3,
     measured_alpha,
     prototype,
-    prototype_fcs_config,
 )
+from flowhand.finger import FingerConfig
+from flowhand.tasks import HandConfig
 from flowhand.venturi import size_orifice
 
 CONSTS = PhysConstants()
+
+
+def prototype_fcs_config(label: str) -> FcsConfig:
+    """The reference switch with one table row's own alpha and epsilon:
+    the jet area, lever onset and injection fraction belong to the
+    shared lever hardware."""
+    spec = prototype(label)
+    return replace(default_system().fcs, alpha=measured_alpha(spec), epsilon=spec.epsilon)
 
 
 def test_table_has_four_prototypes():
@@ -138,6 +148,18 @@ def test_default_system_wiring():
     assert system.venturi.s_in == mm2_to_m2(20.0)
     assert system.venturi.s_t == mm2_to_m2(3.0)
     assert system.venturi.rho_lub == 789.0
+
+
+def test_default_system_shares_its_constant_parts():
+    # the blocking curve, the finger and the hand are immutable defaults,
+    # built once; each call still solves the valve afresh
+    a, b = default_system(), default_system()
+    assert a == b
+    assert a.fcs is not b.fcs
+    assert blocking_curve() is blocking_curve() is a.fcs.f_block_curve
+    assert blocking_curve().knots == DEFAULT_F_BLOCK_KNOTS
+    assert a.finger is b.finger and a.finger == FingerConfig()
+    assert a.hand is b.hand and a.hand == HandConfig()
 
 
 def test_default_orifice_sized_for_activation():

@@ -35,7 +35,7 @@ from flowhand.scenario import (
     SimTrace,
     SimulationError,
     TraceRow,
-    _step_stop,
+    _stops,
     load_scenario,
     run_scenario,
 )
@@ -117,8 +117,9 @@ def boundaries(draw) -> tuple[int, float, float]:
 @example((124, 3.870000003, 0.03))
 @example((0, 1e-8, 1e-10))        # the tolerance scales with dt: 100 steps, not 90
 def test_step_stop_matches_stepping_loop(case):
+    # the start step is the stop of a segment that ends at first * dt
     first, end, dt = case
-    assert _step_stop(first, end, dt) == loop_stop(first, end, dt)
+    assert _stops([first * dt, end], dt) == [first, loop_stop(first, end, dt)]
 
 
 @oracle
@@ -128,11 +129,14 @@ def test_step_stop_matches_stepping_loop(case):
 def test_accumulated_segment_ends_match_stepping_loop(dt, pieces):
     # segment ends come from a running sum of durations, as in run_scenario
     start, k = 0.0, 0
+    ends, want = [], []
     for steps, frac in pieces:
         end = start + (steps + frac) * dt
-        assert _step_stop(k, end, dt) == loop_stop(k, end, dt)
         k = loop_stop(k, end, dt)
+        ends.append(end)
+        want.append(k)
         start = end
+    assert _stops(ends, dt) == want
 
 
 # --- the streamed CSV -------------------------------------------------
@@ -448,7 +452,7 @@ def per_segment_run_scenario(scenario, system, scene):
         elif seg.event == "pivot":
             results["pivot_ok"] = pivot_feasible(mu, hand)
 
-        stop = _step_stop(k, end, dt)
+        stop = loop_stop(k, end, dt)
         if stop == k:
             raise ConfigError(
                 f"segment {i} (t={start:g} s, {seg.duration:g} s long) covers no "
@@ -582,6 +586,61 @@ def test_each_distinct_command_is_evaluated_once(monkeypatch):
     assert len(trace.runs) == 1000
     for name, seen in calls.items():
         assert sorted(seen) == sorted(commands), name
+
+
+def test_each_distinct_event_outcome_is_decided_once(monkeypatch):
+    # the task models run once per distinct (event, latched finger
+    # outputs, friction); the keys come from the per-step records
+    calls = {"can_grasp": 0, "placement_slip": 0, "pivot_feasible": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(scenario_module, name, counted(name, getattr(scenario_module, name)))
+    commands = cycle(lpm_to_m3s(q) for q in (0.0, 30.0, 150.0, 5.0, 50.0, 150.0, 10.0))
+    events = cycle(("grasp", None, "lift", "pivot", None, "place", "grasp", "pivot", "lift"))
+    scenario = Scenario("churn", tuple(Segment(0.01, next(commands), next(events))
+                                       for _ in range(1000)))
+    trace = run_scenario(scenario, SYSTEM, SCENE)
+    want = per_segment_run_scenario(scenario, SYSTEM, SCENE)
+    assert trace._replace(runs=(), outputs=()) == want._replace(runs=(), outputs=())
+    keys = {(rec.event, rec.p_f, rec.f_tip, rec.r, rec.friction)
+            for rec in step_records(trace, scenario.segments) if rec.event}
+    count = {event: sum(key[0] == event for key in keys) for event in EVENTS}
+    assert calls == {"can_grasp": count["grasp"],
+                     "placement_slip": count["lift"] + count["place"],
+                     "pivot_feasible": count["pivot"]}
+    assert 0 < sum(calls.values()) < 100       # of 778 events
+
+
+def test_csv_prints_each_row_its_own_fields():
+    # rows that share the flow fields but not the finger outputs, the
+    # injection or the friction, and rows that share p_f but not the
+    # state or the rest of the finger outputs: the texts are tabled by
+    # value, so each row must still print every field of its own
+    q, q1, q2, q_exhaust = lpm_to_m3s(30.0), 1e-5, 2e-4, 3e-4
+    high, low = FrictionState.HIGH, FrictionState.LOW
+    outputs = (
+        TraceRow(q, q1, q2, q_exhaust, FcsState.B, 12920.0, 0.0637, 0.152, False, high),
+        TraceRow(q, q1, q2, q_exhaust, FcsState.B, 12920.0, 0.0637, 0.152, False, low),
+        TraceRow(q, q1, q2, q_exhaust, FcsState.B, 22610.0, 0.0364, 0.266, False, high),
+        TraceRow(q, q1, q2, q_exhaust, FcsState.B, 12920.0, 0.0637, 0.152, True, high),
+        TraceRow(q, q1, q2, q_exhaust, FcsState.C, 12920.0, 0.0637, 0.152, False, high),
+        TraceRow(q, 0.0, q2, q_exhaust, FcsState.C, 12920.0, 0.0637, 0.152, False, high),
+        TraceRow(q, q1, q2, q_exhaust, FcsState.B, 12920.0, 0.0637, 0.2, False, high),
+        TraceRow(q, q1, q2, q_exhaust, FcsState.B, 12920.0, math.inf, 0.152, False, high),
+        TraceRow(0.0, q1, q2, q_exhaust, FcsState.A, 12920.0, 0.0637, 0.152, False, high),
+    )
+    runs = ((1, 0), (3, 1), (4, 2), (5, 0), (7, 3), (8, 4), (9, 5), (10, 6), (12, 7),
+            (13, 8), (14, 4), (15, 1))
+    trace = SimTrace("by hand", 0.01, runs, outputs)
+    text = trace.to_csv()
+    assert text == row_by_row_csv(trace)
+    assert len(set(line.split(",", 1)[1] for line in text.splitlines()[1:])) == len(outputs)
 
 
 def test_negative_zero_command_prints_zero_flows():
