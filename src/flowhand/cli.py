@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands:
+Subcommands, each parsed by its own parser from the arguments after its name:
 
   simulate       run a scenario file, stream the per-step CSV
   sweep          thresholds vs one config key over a list of values
@@ -202,6 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="flowhand",
         description="Flow-switched soft hand models: simulate, sweep, design, validate.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # main hands the arguments after a command's name to its parser alone
+    parser.set_defaults(commands=sub.choices)
 
     sim = sub.add_parser("simulate", help="run a scenario file, emit per-step CSV")
     sim.add_argument("scenario", help="scenario JSON file")
@@ -246,8 +248,18 @@ def main(argv=None) -> int:
 
     The parser is built on the first call and reused for every later one
     in the process: `parse_args` makes a fresh namespace each time, and
-    no argument has a mutable default."""
-    args = build_parser().parse_args(argv)
+    no argument has a mutable default.  A command's own parser parses the
+    arguments after its name; the top-level parser reports what that
+    leaves unrecognized and parses any other command line."""
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = parser.get_default("commands").get(argv[0]) if argv else None
+    if command is None:
+        args = parser.parse_args(argv)
+    else:
+        args, extra = command.parse_known_args(argv[1:])
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -243,7 +243,7 @@ def _apply(section: str, base: Any, raw: dict, consts: PhysConstants) -> Any:
 def load_system(source: dict | str | Path | None = None) -> SystemConfig:
     """Build the full system from a config mapping or file.
 
-    None or an empty mapping yields the tuned reference system.
+    None or an empty mapping yields the tuned reference system itself.
     """
     raw = {} if source is None else read_json(source)
     for section, keys in raw.items():
@@ -256,6 +256,8 @@ def load_system(source: dict | str | Path | None = None) -> SystemConfig:
                 raise ConfigError(f"unknown config key '{section}.{key}'")
 
     system = default_system()
+    if not raw:
+        return system
     return replace(system, **{
         section: _apply(section, getattr(system, section), keys, system.consts)
         for section, keys in raw.items()})

@@ -171,7 +171,7 @@ def steady_outputs(q_src: float, cfg: FcsConfig, consts: PhysConstants) -> FcsOu
         state, q1, q_exhaust = FcsState.C, 0.0, q_src - q2
     else:
         state, q_exhaust = FcsState.B, (1.0 - cfg.gamma) * q3
-    return FcsOutputs(q1=q1, q2=q2, q_exhaust=q_exhaust, q3=q3, f3=f3, f1=f1, state=state)
+    return FcsOutputs(q1, q2, q_exhaust, q3, f3, f1, state)
 
 
 def lever_flip_flow(cfg: FcsConfig, consts: PhysConstants) -> float:

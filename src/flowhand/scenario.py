@@ -583,10 +583,12 @@ def run_scenario(
                     *map(last.get, EVENTS))
 
 
-def _check_finite(*values: tuple[str, float]) -> None:
-    for name, value in values:
-        if not math.isfinite(value):
-            raise SimulationError(f"{name} is {value}")
+def _check_finite(names: str, *values: float) -> None:
+    """SimulationError naming the first value that is not finite; names
+    holds the values' names, space-separated, and is read only then."""
+    if not all(map(math.isfinite, values)):
+        name, value = next((n, v) for n, v in zip(names.split(), values) if not math.isfinite(v))
+        raise SimulationError(f"{name} is {value}")
 
 
 class OperatingPoint(NamedTuple):
@@ -606,7 +608,7 @@ def operating_point(q_src: float, system: SystemConfig) -> OperatingPoint:
     p_f = None if out.state is FcsState.C else chamber_pressure(q_src, system.finger)
     h_l = lubricant_column(q_src, out.q2, system.venturi, system.consts)
     injecting = injection_active(h_l, system.venturi.h_t)
-    _check_finite(("q1", out.q1), ("q2", out.q2), ("q_exhaust", out.q_exhaust))
+    _check_finite("q1 q2 q_exhaust", out.q1, out.q2, out.q_exhaust)
     finger = None if p_f is None else _finger_outputs(p_f, system.finger)
     return OperatingPoint(out, injecting, finger)
 
@@ -615,7 +617,7 @@ def _finger_outputs(p_f: float, cfg: FingerConfig) -> tuple:
     """(p_f, f_tip, r) at chamber pressure p_f."""
     f_tip = tip_force(p_f, cfg)
     r = bending_radius(p_f, cfg)
-    _check_finite(("p_f", p_f), ("f_tip", f_tip))
+    _check_finite("p_f f_tip", p_f, f_tip)
     if math.isnan(r):
         raise SimulationError("r is nan")
     return p_f, f_tip, r

@@ -24,7 +24,8 @@ The rows double as calibration data:
   * default_system          the full tuned stack for build A:
                             solve_for_targets at the measured flips
                             (8.1 and 118 L/min) and the 44 L/min onset,
-                            plus the finger and the hand
+                            plus the finger and the hand; solved once,
+                            at import, and returned as that one object
 
 The two s3 calibrations differ by about 2% because the published pinch
 force at the flip (1.01 N) sits slightly above the blocking curve value
@@ -88,8 +89,8 @@ TABLE1: tuple[PrototypeSpec, ...] = (
 )
 
 REFERENCE_LABEL = "A"
-# the reference injector; its orifice s_out is a placeholder that
-# default_system re-sizes for the onset
+# the reference injector; its orifice s_out is a placeholder that the
+# reference solve re-sizes for the onset
 _INJECTOR = VenturiConfig(s_in=mm2_to_m2(20.0), s_out=mm2_to_m2(10.0), s_t=mm2_to_m2(3.0))
 
 # Pooled (q1_max [L/min], f_block [N]) pairs from the table, sorted by
@@ -223,6 +224,13 @@ class SystemConfig:
     hand: HandConfig
 
 
+# immutable like its parts, so solved once, here
+_CONSTS, _SPEC = PhysConstants(), prototype(REFERENCE_LABEL)
+_REFERENCE = SystemConfig(_CONSTS, *solve_for_targets(
+    DesignTargets(Q_AB_LPM, Q_BC_LPM, Q2_ONSET_LPM), measured_alpha(_SPEC), _SPEC.epsilon,
+    _BLOCKING_CURVE, _INJECTOR, _CONSTS), _FINGER, _HAND)
+
+
 def default_system() -> SystemConfig:
     """The tuned reference system: build A's alpha, epsilon and the
     pooled blocking curve, solved for the measured flips and onset.
@@ -230,11 +238,7 @@ def default_system() -> SystemConfig:
     So the A -> B flip sits at 8.1 L/min, the B -> C flip at 118 L/min,
     and the orifice lets the lubricant column top the 55 mm supply tube
     exactly when the injection line reaches 44 L/min, which the switch
-    delivers at the B -> C flip.
+    delivers at the B -> C flip.  The solve runs once, at import; every
+    call returns that one object.
     """
-    consts = PhysConstants()
-    spec = prototype(REFERENCE_LABEL)
-    fcs, venturi = solve_for_targets(
-        DesignTargets(Q_AB_LPM, Q_BC_LPM, Q2_ONSET_LPM), measured_alpha(spec), spec.epsilon,
-        _BLOCKING_CURVE, _INJECTOR, consts)
-    return SystemConfig(consts=consts, fcs=fcs, venturi=venturi, finger=_FINGER, hand=_HAND)
+    return _REFERENCE

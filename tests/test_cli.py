@@ -600,6 +600,63 @@ def test_parser_is_built_once_per_process(monkeypatch, capsys):
     assert len(built) <= 6, built
 
 
+# {scenario}, {config} and {out} stand for files in a test's directory
+ARGV_CORPUS = [
+    [], ["-h"], ["--help"], ["frobnicate"], ["--bogus"], ["--", "table1"],
+    ["simulate", "{scenario}"], ["simulate", "{scenario}", "--config", "{config}"],
+    ["simulate", "{scenario}", "--out", "{out}"], ["simulate", "{scenario}", "--out={out}"],
+    ["simulate", "--", "{scenario}"], ["simulate"], ["simulate", "-h"],
+    ["simulate", "{scenario}", "--bogus"], ["simulate", "{scenario}", "extra"],
+    ["simulate", "{scenario}", "--config"], ["simulate", "{out}"], ["simulate", "--out"],
+    ["sweep", "--param", "fcs.epsilon", "--values", "2.4,2.6"],
+    ["sweep", "--par", "fcs.epsilon", "--values", "2.5", "--scenario", "{scenario}"],
+    ["sweep", "--param=fcs.epsilon", "--values=2.5", "--out={out}"],
+    ["sweep", "--values", "1"], ["sweep", "--param", "fcs.nope", "--values", "1"],
+    ["sweep", "--param", "fcs.epsilon", "--values", "x"], ["sweep", "--help"],
+    ["sweep", "--param", "fcs.epsilon", "--values", "2.5", "--", "extra"],
+    ["design-search"], ["design-search", "--q-ab", "20", "--q-bc", "100", "--q2", "30"],
+    ["design-search", "--q-ab", "fast"], ["design-search", "--q-ab", "-5"],
+    ["design-search", "--q-ab", "200"], ["design-search", "--q"],
+    ["design-search", "--config", "{config}", "--out", "{out}"],
+    ["table1"], ["table1", "extra"], ["table1", "--out={out}"], ["table1", "--out"],
+    ["table1", "-h", "extra"],
+    ["validate"], ["validate", "--config", "{config}"], ["validate", "--config"],
+    ["validate", "--conf", "{config}", "--bogus", "more"],
+]
+
+
+@pytest.mark.parametrize("argv", ARGV_CORPUS, ids=" ".join)
+def test_main_matches_a_fresh_top_level_parse(argv, scenario_file, tmp_path, capsys,
+                                              monkeypatch):
+    # main hands a command's arguments to that command's parser; each
+    # command line must end as it does when a fresh top-level parser
+    # parses all of it, in exit code, output and written file
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+    cfg.write_text(json.dumps({"fcs": {"epsilon": 2.4}}))
+    argv = [arg.format(scenario=scenario_file, config=cfg, out=out) for arg in argv]
+
+    def run():
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = f"SystemExit({exc.code})"
+        captured = capsys.readouterr()
+        written = out.read_bytes() if out.exists() else None
+        out.unlink(missing_ok=True)
+        return rc, captured.out, captured.err, written
+
+    routed = run()
+    fresh_parser = cli.build_parser.__wrapped__
+
+    def top_level_parser():
+        parser = fresh_parser()
+        parser.set_defaults(commands={})     # no command is handed over
+        return parser
+
+    monkeypatch.setattr(cli, "build_parser", top_level_parser)
+    assert run() == routed
+
+
 FUZZ_FLOWS_LPM = (0.0, 5.0, 50.0, 118.0, 150.0, 2000.0)
 # knot values: the bench range, round values, edges and any float
 # (non-finite ones too); lists come unsorted or sorted
@@ -766,15 +823,16 @@ def test_full_inlet_design_injects_at_its_q_bc_target(p_src, s_src, s_e):
             assert [row.split(",")[9] for row in lines[7:9]] == ["0", "1"]
 
 
-# in-range values of three keys that move the thresholds, as in the benchmark's sweeps
-AGREEMENT_RANGES = {"fcs.epsilon": (2.0, 3.5), "fcs.q_ab_lpm": (5.0, 20.0),
-                    "venturi.h_t_mm": (40.0, 70.0)}
+# in-range values of six keys that move the thresholds, as in the benchmark's sweeps
+AGREEMENT_RANGES = {"fcs.alpha": (0.95, 0.995), "fcs.epsilon": (2.0, 3.5),
+                    "fcs.s3_mm2": (9.0, 14.0), "fcs.gamma": (0.3, 0.6),
+                    "fcs.q_ab_lpm": (5.0, 20.0), "venturi.h_t_mm": (40.0, 70.0)}
 VALIDATE_READING = re.compile(
     r"^\[(?:PASS|FAIL)\] (lever flip|pinch-off flip|injection activation) +(\S+) L/min vs ",
     re.MULTILINE)
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(setting=st.one_of(*(st.tuples(st.just(key), st.floats(lo, hi))
                            for key, (lo, hi) in AGREEMENT_RANGES.items())))
 def test_sweep_validate_and_simulate_agree_on_the_thresholds(setting):

@@ -5,21 +5,24 @@ from dataclasses import replace
 
 import pytest
 
+from flowhand.config import load_system
 from flowhand.core import PhysConstants, lpm_to_m3s, m3s_to_lpm, mm2_to_m2
 from flowhand.fcs import FcsConfig, blocking_force, classify_state, lever_force
 from flowhand.system import (
     DEFAULT_F_BLOCK_KNOTS,
     REFERENCE_LABEL,
     TABLE1,
+    DesignTargets,
     blocking_curve,
     default_system,
     listed_inversion_s3,
     measured_alpha,
     prototype,
+    solve_for_targets,
 )
 from flowhand.finger import FingerConfig
 from flowhand.tasks import HandConfig
-from flowhand.venturi import size_orifice
+from flowhand.venturi import VenturiConfig, size_orifice
 
 CONSTS = PhysConstants()
 
@@ -151,11 +154,17 @@ def test_default_system_wiring():
 
 
 def test_default_system_shares_its_constant_parts():
-    # the blocking curve, the finger and the hand are immutable defaults,
-    # built once; each call still solves the valve afresh
+    # the reference system is an immutable value solved once, at import,
+    # from the immutable blocking curve, finger and hand
     a, b = default_system(), default_system()
-    assert a == b
-    assert a.fcs is not b.fcs
+    assert a is b
+    assert load_system() is a and load_system({}) is a
+    # it is still design search's closed-form solve at the paper's anchors
+    spec = prototype(REFERENCE_LABEL)
+    injector = VenturiConfig(s_in=mm2_to_m2(20.0), s_out=mm2_to_m2(10.0), s_t=mm2_to_m2(3.0))
+    fcs, venturi = solve_for_targets(DesignTargets(8.1, 118.0, 44.0), measured_alpha(spec),
+                                     spec.epsilon, blocking_curve(), injector, CONSTS)
+    assert (a.consts, a.fcs, a.venturi) == (CONSTS, fcs, venturi)
     assert blocking_curve() is blocking_curve() is a.fcs.f_block_curve
     assert blocking_curve().knots == DEFAULT_F_BLOCK_KNOTS
     assert a.finger is b.finger and a.finger == FingerConfig()
