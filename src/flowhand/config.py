@@ -12,7 +12,8 @@ Giving q_ab_lpm instead of f_rot_N (not both) calibrates the
 lever-rotation onset so the A -> B flip lands on that flow, using the
 section's final alpha and s3.  Every other key sets its own field and
 nothing else: an injector key such as h_t_mm or rho_lub keeps the
-reference orifice, which design-search re-sizes.
+reference orifice, which design-search re-sizes.  The supply-tube area
+VenturiConfig.s_t has no key: it cancels out of every output.
 
 Unknown sections or keys are errors carrying the dotted path; silent
 ignores would let a typo masquerade as a tuned parameter.  For the same
@@ -40,7 +41,7 @@ from .core import (
     mm_to_m,
     pa_to_kpa,
 )
-from .fcs import calibrate_f_rot
+from .fcs import lever_force
 from .system import SystemConfig, default_system
 
 
@@ -147,7 +148,6 @@ _TABLE: dict[str, dict[str, tuple[str, tuple]]] = {
     "venturi": {
         "s_in_mm2": ("s_in", _AREA),
         "s_out_mm2": ("s_out", _AREA),
-        "s_t_mm2": ("s_t", _AREA),
         "h_t_mm": ("h_t", _LENGTH),
         "rho_lub": ("rho_lub", _NUMBER),
         "use_simplified_inlet": ("use_simplified_inlet", _BOOLEAN),
@@ -189,7 +189,8 @@ def _unique_keys(pairs: list) -> dict:
 
 
 def read_json(source: dict | str | Path) -> dict:
-    """The parsed top-level object; accepts a dict, a path, or JSON text paths."""
+    """The parsed top-level object of a dict, returned as is, or of the
+    JSON file at a path; a string is always read as a path."""
     if isinstance(source, dict):
         return source
     path = Path(source)
@@ -230,7 +231,7 @@ def _apply(section: str, base: Any, raw: dict, consts: PhysConstants) -> Any:
             if not q > 0:                   # 1e-320 L/min is 0 m^3/s
                 raise ConfigError(f"fcs.q_ab_lpm: {q_ab!r} L/min is {q!r} m^3/s, "
                                   f"which must be > 0")
-            f_rot = calibrate_f_rot(q, cfg, consts)
+            f_rot = lever_force(cfg.alpha * q, cfg.s3, consts.rho_air)
             if not math.isfinite(f_rot):    # the jet force at q_ab overflows
                 raise ConfigError(f"fcs.q_ab_lpm: {q_ab:g} L/min calibrates f_rot_N "
                                   f"to {f_rot}, which must be finite")
@@ -268,7 +269,8 @@ def system_to_dict(system: SystemConfig) -> dict:
 
     Keys come in table order.  f_rot_N carries the lever onset, so
     q_ab_lpm is never emitted, and a field left None (the full-inlet
-    feed) emits no key.
+    feed) emits no key; venturi.s_t has none and reloads as the
+    reference's.
     """
     out: dict[str, Any] = {}
     for section, rows in _TABLE.items():

@@ -212,14 +212,3 @@ def pinch_crossings(cfg: FcsConfig, consts: PhysConstants) -> list[float]:
             positive = not positive
     return crossings
 
-
-def calibrate_f_rot(q_ab: float, cfg: FcsConfig, consts: PhysConstants) -> float:
-    """Lever-rotation onset force that puts the A -> B flip exactly at q_ab.
-
-    q_ab in m^3/s.  Returns rho * (alpha * q_ab)^2 / s3, i.e. the jet
-    force at the desired flip point; classify_state then leaves A at the
-    first flow where the jet force reaches it.
-    """
-    if not q_ab > 0:
-        raise ValueError(f"q_ab must be > 0, got {q_ab}")
-    return lever_force(cfg.alpha * q_ab, cfg.s3, consts.rho_air)

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import PhysConstants, PiecewiseLinearCurve, m3s_to_lpm
+from .core import PiecewiseLinearCurve, m3s_to_lpm
 
 # Default calibration anchor: 50 L/min of source flow holds the chamber
 # at 32.3 kPa, where the finger bends half a circle and pushes 0.38 N.

@@ -65,7 +65,10 @@ from .fcs import (
     FcsConfig,
     FcsOutputs,
     FcsState,
+    blocking_force,
+    calibrate_s3,
     lever_flip_flow,
+    lever_force,
     pinch_crossings,
     steady_outputs,
 )
@@ -79,7 +82,6 @@ from .system import (
     TABLE1,
     blocking_curve,
     default_system,
-    listed_inversion_s3,
     prototype,
     solve_for_targets,
 )
@@ -760,32 +762,16 @@ def design_search(
     """Tune jet area, lever onset, injection fraction, and orifice so the
     simulated thresholds hit the targets.
 
-    Checks the targets, solves the four free parameters in closed form
-    with solve_for_targets, which gives default_system at the paper's
-    anchors, then reads the thresholds back from the tuned config and
-    gates them on the absolute and the relative tolerance; under both
-    inlet models the activation read back is gated on q_bc too.  Raises
-    InfeasibleDesignError naming the binding constraint when no setting
-    can work, and ConfigError for a non-finite target.
+    solve_for_targets checks the targets and solves the four free
+    parameters in closed form; at the paper's anchors it gives
+    default_system.  Then the thresholds are read back from the tuned
+    config and gated on the absolute and the relative tolerance; under
+    both inlet models the activation read back is gated on q_bc too.
+    Raises InfeasibleDesignError naming the binding constraint when no
+    setting can work, and ConfigError for a non-finite target.
     """
     base = system or default_system()
-    consts = base.consts
-    fcs = base.fcs
-    q_ab, q_bc, q2_act = (targets.q_ab_lpm, targets.q_bc_lpm,
-                          targets.q2_activation_lpm)
-    for name, value in (("q_ab", q_ab), ("q_bc", q_bc), ("q2 activation", q2_act)):
-        if not math.isfinite(value):
-            raise ConfigError(f"{name} target {value} L/min is not a finite number")
-    if not 0 < q_ab < q_bc:
-        raise InfeasibleDesignError(
-            f"targets need 0 < q_ab < q_bc, got {q_ab} and {q_bc} L/min: "
-            "the lever must rotate before it can block")
-    jet_at_bc = fcs.alpha * q_bc
-    if not 0 < q2_act <= jet_at_bc:
-        raise InfeasibleDesignError(
-            f"q2 activation target {q2_act} L/min exceeds the jet flow at "
-            f"pinch-off (alpha * q_bc = {jet_at_bc:.6g} L/min), so no "
-            "injection fraction <= 1 can deliver it")
+    consts, fcs = base.consts, base.fcs
     tuned_fcs, venturi = solve_for_targets(targets, fcs.alpha, fcs.epsilon, fcs.f_block_curve,
                                            base.venturi, consts)
     tuned = replace(base, fcs=tuned_fcs, venturi=venturi)
@@ -797,7 +783,7 @@ def design_search(
         raise InfeasibleDesignError(f"verification lost a threshold: got {got}")
     *achieved, act = map(m3s_to_lpm, got)
     report = DesignReport(targets=targets, achieved=tuple(achieved))
-    if not (report.within_tolerance() and _near(act, q_bc)):
+    if not (report.within_tolerance() and _near(act, targets.q_bc_lpm)):
         raise InfeasibleDesignError(
             f"tuned config missed the targets: achieved {report.achieved}, injecting from "
             f"{act:g} L/min, wanted within {DESIGN_TOLERANCE_LPM} L/min and "
@@ -862,14 +848,14 @@ def validate_table1() -> Table1Report:
     curve, and the success classification both ways (published forces
     vs recomputed).
     """
-    consts = PhysConstants()
-    s3 = listed_inversion_s3(prototype(REFERENCE_LABEL), consts)
+    consts, ref = PhysConstants(), prototype(REFERENCE_LABEL)
+    s3 = calibrate_s3(ref.epsilon, consts.rho_air, ref.q3_listed, ref.f1_listed)
     curve = blocking_curve()
     rows = []
     for spec in TABLE1:
         q3 = spec.q_src_max - spec.q1_max
-        f1 = spec.epsilon * consts.rho_air * q3 ** 2 / s3
-        f_block = curve(m3s_to_lpm(spec.q1_max))
+        f1 = spec.epsilon * lever_force(q3, s3, consts.rho_air)
+        f_block = blocking_force(spec.q1_max, curve)
         rows.append(Table1Row(
             label=spec.label,
             q3_lpm=m3s_to_lpm(q3),

@@ -14,13 +14,11 @@ The rows double as calibration data:
   * measured_alpha          alpha from the two measured flows
   * blocking_curve          pinch-shut force vs finger-line flow,
                             pooled from the four (q1_max, f_block) pairs
-  * solve_for_targets       jet nozzle area, lever onset, injection
-                            fraction and orifice that put the two flips
-                            and the injection onset on target flows; the
-                            one solve behind default_system and
-                            design-search
-  * listed_inversion_s3     nozzle area backed out of a row's published
-                            jet flow and pinch force instead
+  * solve_for_targets       checks the target flows, then solves the jet
+                            nozzle area, lever onset, injection fraction
+                            and orifice that put the two flips and the
+                            injection onset on them; the one solve behind
+                            default_system and design-search
   * default_system          the full tuned stack for build A:
                             solve_for_targets at the measured flips
                             (8.1 and 118 L/min) and the 44 L/min onset,
@@ -30,8 +28,9 @@ The rows double as calibration data:
 The two s3 calibrations differ by about 2% because the published pinch
 force at the flip (1.01 N) sits slightly above the blocking curve value
 there (0.99 N).  Simulation defaults solve on the blocking curve so the
-flip lands on the measured 118 L/min; the table validator uses
-listed_inversion_s3 because the published force columns are its ground
+flip lands on the measured 118 L/min; the table validator backs s3 out
+of the reference row's published jet flow and pinch force instead
+(fcs.calibrate_s3), because the published force columns are its ground
 truth.
 """
 
@@ -41,8 +40,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
-from .core import PhysConstants, PiecewiseLinearCurve, lpm_to_m3s, mm2_to_m2
-from .fcs import FcsConfig, blocking_force, calibrate_s3
+from .core import ConfigError, PhysConstants, PiecewiseLinearCurve, lpm_to_m3s, mm2_to_m2
+from .fcs import FcsConfig, blocking_force, calibrate_s3, lever_force
 from .finger import FingerConfig
 from .tasks import HandConfig
 from .venturi import InfeasibleDesignError, VenturiConfig, size_exhaust, size_orifice
@@ -132,11 +131,6 @@ def measured_alpha(spec: PrototypeSpec) -> float:
     return (spec.q_src_max - spec.q1_max) / spec.q_src_max
 
 
-def listed_inversion_s3(spec: PrototypeSpec, consts: PhysConstants) -> float:
-    """Jet nozzle area [m^2] backed out of the published q3 and f1 columns."""
-    return calibrate_s3(spec.epsilon, consts.rho_air, spec.q3_listed, spec.f1_listed)
-
-
 class DesignTargets(NamedTuple):
     """Operating points to hit, in L/min: the two state flips and the
     injection-line flow at which injection starts."""
@@ -168,12 +162,25 @@ def solve_for_targets(
              to it as q2_activation_threshold reads it back; under the
              full inlet size_exhaust then puts the composed onset at q_bc
 
-    The targets are taken as checked (0 < q_ab < q_bc, 0 < q2_activation
-    <= alpha q_bc).  Raises InfeasibleDesignError naming the parameter
-    when no admissible geometry hits them.
+    Raises ConfigError for a non-finite target, and
+    InfeasibleDesignError for targets out of order (0 < q_ab < q_bc,
+    0 < q2_activation <= alpha q_bc) or naming the parameter when no
+    admissible geometry hits them.
     """
     q_ab, q_bc, q2_act = targets
+    for name, value in (("q_ab", q_ab), ("q_bc", q_bc), ("q2 activation", q2_act)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} target {value} L/min is not a finite number")
+    if not 0 < q_ab < q_bc:
+        raise InfeasibleDesignError(
+            f"targets need 0 < q_ab < q_bc, got {q_ab} and {q_bc} L/min: "
+            "the lever must rotate before it can block")
     jet_at_bc = alpha * q_bc
+    if not 0 < q2_act <= jet_at_bc:
+        raise InfeasibleDesignError(
+            f"q2 activation target {q2_act} L/min exceeds the jet flow at "
+            f"pinch-off (alpha * q_bc = {jet_at_bc:.6g} L/min), so no "
+            "injection fraction <= 1 can deliver it")
     f_need = blocking_force(lpm_to_m3s((1.0 - alpha) * q_bc), curve)
     if not f_need > 0:
         raise InfeasibleDesignError(
@@ -182,7 +189,7 @@ def solve_for_targets(
     s3 = _tuned("jet area s3", targets,
                 calibrate_s3(epsilon, consts.rho_air, lpm_to_m3s(jet_at_bc), f_need))
     f_rot = _tuned("lever onset f_rot", targets,
-                   consts.rho_air * (alpha * lpm_to_m3s(q_ab)) ** 2 / s3)
+                   lever_force(alpha * lpm_to_m3s(q_ab), s3, consts.rho_air))
     gamma = _tuned("injection fraction gamma", targets, q2_act / jet_at_bc)
     fcs = _admissible(FcsConfig, alpha=alpha, epsilon=epsilon, s3=s3, f_rot=f_rot,
                       f_block_curve=curve, gamma=gamma)

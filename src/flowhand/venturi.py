@@ -127,16 +127,17 @@ def injection_active(h_l: float, h_t: float) -> bool:
 
 def _margin(cfg: VenturiConfig, consts: PhysConstants, c: float) -> tuple[float, ...]:
     """K of a line that carries q2 = c q_src, then its orifice and inlet
-    terms over rho_air/2 [1/m^4], then the source's gauge pressure [Pa]:
-    the orifice sits K q_src^2 - gauge below ambient, and P is
-    rho_lub g h_t + gauge (module docstring)."""
+    terms over rho_air/2 [1/m^4], then the source's gauge pressure and
+    the balance pressure P = rho_lub g h_t + gauge [Pa]: the orifice
+    sits K q_src^2 - gauge below ambient (module docstring)."""
     orifice = c * c / (cfg.discharge_coeff * cfg.s_out) ** 2
     if cfg.use_simplified_inlet:
         inlet, exhaust, gauge = -c * c / cfg.s_in ** 2, 0.0, 0.0
     else:
         inlet, exhaust = -1.0 / cfg.s_src ** 2, (1.0 - c) ** 2 / cfg.s_e ** 2
         gauge = cfg.p_src - consts.p_atm
-    return consts.rho_air / 2.0 * (orifice + inlet + exhaust), orifice, inlet, gauge
+    return (consts.rho_air / 2.0 * (orifice + inlet + exhaust), orifice, inlet, gauge,
+            cfg.rho_lub * consts.g * cfg.h_t + gauge)
 
 
 def lubricant_column(q_src: float, q2: float, cfg: VenturiConfig, consts: PhysConstants) -> float:
@@ -149,7 +150,7 @@ def lubricant_column(q_src: float, q2: float, cfg: VenturiConfig, consts: PhysCo
         raise ValueError(f"need 0 <= q2 <= q_src, got q2={q2}, q_src={q_src}")
     if q2 == 0.0:
         return 0.0
-    k, _, _, gauge = _margin(cfg, consts, q2 / q_src)
+    k, _, _, gauge, _ = _margin(cfg, consts, q2 / q_src)
     return max(0.0, (k * q_src * q_src - gauge) / (cfg.rho_lub * consts.g))
 
 
@@ -161,8 +162,7 @@ def _onset(cfg: VenturiConfig, consts: PhysConstants, c: float, lo: float) -> fl
     margin positive at lo means injection stops again above lo, so it is
     not monotone in the source flow: a ConfigError.
     """
-    k, _, _, gauge = _margin(cfg, consts, c)
-    p = cfg.rho_lub * consts.g * cfg.h_t + gauge
+    k, *_, p = _margin(cfg, consts, c)
     if k > 0.0:
         return lo if p <= 0.0 else max(lo, math.sqrt(p / k))
     if p >= 0.0:
@@ -222,8 +222,7 @@ def size_orifice(target_q2: float, cfg: VenturiConfig, consts: PhysConstants) ->
     """
     if not target_q2 > 0:
         raise ValueError(f"target_q2 must be > 0, got {target_q2}")
-    _, _, inlet, gauge = _margin(cfg, consts, 1.0)
-    p = cfg.rho_lub * consts.g * cfg.h_t + gauge
+    _, _, inlet, _, p = _margin(cfg, consts, 1.0)
     # a target_q2 whose square underflows needs an orifice of no area
     if p > 0 and (flow_sq := consts.rho_air * target_q2 ** 2) > 0:
         s_out = 1.0 / (cfg.discharge_coeff * math.sqrt(2.0 * p / flow_sq - inlet))
@@ -245,8 +244,7 @@ def size_exhaust(target_q: float, cfg: VenturiConfig, fcs: FcsConfig, consts: Ph
     column over the crest below target_q already.
     """
     c = fcs.gamma * fcs.alpha
-    _, orifice, inlet, gauge = _margin(cfg, consts, c)
-    p = cfg.rho_lub * consts.g * cfg.h_t + gauge
+    _, orifice, inlet, _, p = _margin(cfg, consts, c)
     if p > 0 and (flow_sq := consts.rho_air * target_q ** 2) > 0:
         inv_sq = 2.0 * p / flow_sq - orifice - inlet
         if inv_sq > 0.0:

@@ -104,7 +104,7 @@ def test_sweep_bad_value(capsys):
 
 
 @pytest.mark.parametrize("values", ["5", ","])
-@pytest.mark.parametrize("param", ["bogus.key", "fcs.exhaust_port_mm2"])
+@pytest.mark.parametrize("param", ["bogus.key", "fcs.exhaust_port_mm2", "venturi.s_t_mm2"])
 def test_sweep_unknown_param_exits_1(param, values, capsys):
     # "," is no values at all, and the key is still checked
     assert main(["sweep", "--param", param, "--values", values]) == 1
@@ -120,6 +120,20 @@ def test_exhaust_port_is_no_config_key(tmp_path, capsys):
     cfg.write_text(json.dumps({"fcs": {"exhaust_port_mm2": 7.1}}))
     assert main(["validate", "--config", str(cfg)]) == 1
     assert capsys.readouterr().err == "config error: unknown config key 'fcs.exhaust_port_mm2'\n"
+
+
+def test_supply_tube_area_is_no_config_key(tmp_path, capsys):
+    # the tube area cancels out of the column balance; a tuned file
+    # written while the key existed is refused, not silently read
+    raw = system_to_dict(load_system())
+    raw["venturi"]["s_t_mm2"] = 3.0
+    cfg = tmp_path / "tuned.json"
+    cfg.write_text(json.dumps(raw))
+    assert main(["validate", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == "config error: unknown config key 'venturi.s_t_mm2'\n"
+    del raw["venturi"]["s_t_mm2"]
+    cfg.write_text(json.dumps(raw))
+    assert main(["validate", "--config", str(cfg)]) == 0
 
 
 def test_design_search_defaults(capsys):
@@ -323,9 +337,8 @@ def test_duplicate_key_exits_1(argv, text, key, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("path", [
-    "fcs.s3_mm2", "venturi.s_in_mm2", "venturi.s_out_mm2", "venturi.s_t_mm2",
-    "venturi.s_src_mm2", "venturi.s_e_mm2", "venturi.h_t_mm",
-    "finger.finger_length_mm", "hand.max_opening_mm",
+    "fcs.s3_mm2", "venturi.s_in_mm2", "venturi.s_out_mm2", "venturi.s_src_mm2",
+    "venturi.s_e_mm2", "venturi.h_t_mm", "finger.finger_length_mm", "hand.max_opening_mm",
 ])
 def test_negative_area_or_length_exits_1(path, tmp_path, capsys):
     section, key = path.split(".")
@@ -823,16 +836,20 @@ def test_full_inlet_design_injects_at_its_q_bc_target(p_src, s_src, s_e):
             assert [row.split(",")[9] for row in lines[7:9]] == ["0", "1"]
 
 
-# in-range values of six keys that move the thresholds, as in the benchmark's sweeps
+# in-range values of eleven keys that move the thresholds, as in the
+# benchmark's sweeps; f_rot_N spans the onsets of q_ab 5-20 L/min
 AGREEMENT_RANGES = {"fcs.alpha": (0.95, 0.995), "fcs.epsilon": (2.0, 3.5),
                     "fcs.s3_mm2": (9.0, 14.0), "fcs.gamma": (0.3, 0.6),
-                    "fcs.q_ab_lpm": (5.0, 20.0), "venturi.h_t_mm": (40.0, 70.0)}
+                    "fcs.q_ab_lpm": (5.0, 20.0), "fcs.f_rot_N": (0.0007, 0.011),
+                    "venturi.h_t_mm": (40.0, 70.0), "venturi.s_out_mm2": (14.0, 17.5),
+                    "venturi.rho_lub": (700.0, 900.0), "venturi.discharge_coeff": (0.9, 1.0),
+                    "venturi.s_in_mm2": (18.0, 40.0)}
 VALIDATE_READING = re.compile(
     r"^\[(?:PASS|FAIL)\] (lever flip|pinch-off flip|injection activation) +(\S+) L/min vs ",
     re.MULTILINE)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=110, deadline=None, derandomize=True, database=None)
 @given(setting=st.one_of(*(st.tuples(st.just(key), st.floats(lo, hi))
                            for key, (lo, hi) in AGREEMENT_RANGES.items())))
 def test_sweep_validate_and_simulate_agree_on_the_thresholds(setting):

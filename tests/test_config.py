@@ -266,16 +266,15 @@ OVERRIDE_VALUES = {
     "fcs.f_rot_N": (0.002, 0.0, -0.1, float("inf")),
     "fcs.q_ab_lpm": (12.0, 0.0, -3.0, 1e300),
     "fcs.f_block_knots": ([[1.5, 0.9], [9.0, 1.3]], [], [[2.0, 1.0], [1.0, 2.0]], [[1.0]]),
-    "venturi.s_in_mm2": (25.0, 10.0, -1.0),
+    "venturi.s_in_mm2": (25.0, 10.0, -1.0, 1e300),
     "venturi.s_out_mm2": (15.0, 30.0, -1.0),
-    "venturi.s_t_mm2": (2.0, 0.0, -1.0),
     "venturi.h_t_mm": (40.0, 0.0, -1.0),
     "venturi.rho_lub": (1000.0, 0.0, -5.0, "a"),
     "venturi.p_src_kpa_abs": (120.0, True, float("nan")),
     "venturi.s_src_mm2": (20.0, -1.0),
-    "venturi.s_e_mm2": (20.0, -1.0),
+    "venturi.s_e_mm2": (20.0, -1.0, 1e-170),
     "venturi.use_simplified_inlet": (True, False, 1),
-    "venturi.discharge_coeff": (0.9, 1.5, 0.0),
+    "venturi.discharge_coeff": (0.9, 1.5, 0.0, 5e-324),
     "finger.finger_length_mm": (90.0, 0.0, -1.0),
     "finger.pressure_map_knots": ([[0, 0], [50, 30]], [[0, 1], [50, 30]], [[0, 0], [50, -1]]),
     "finger.curvature_gain": (1.0, 0.0),

@@ -6,12 +6,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from flowhand.config import apply_override
 from flowhand.core import PhysConstants, PiecewiseLinearCurve, lpm_to_m3s
 from flowhand.fcs import (
     FcsConfig,
     FcsState,
     blocking_force,
-    calibrate_f_rot,
     calibrate_s3,
     classify_state,
     lever_force,
@@ -168,11 +168,11 @@ def test_state_monotone_in_source_flow():
 
 
 def test_calibrate_f_rot_places_flip():
+    # the config's q_ab_lpm sets f_rot to the jet force at that flow
     cfg = make_config()
-    f_rot = calibrate_f_rot(lpm_to_m3s(8.1), cfg, CONSTS)
-    assert f_rot == pytest.approx(
-        lever_force(cfg.alpha * lpm_to_m3s(8.1), cfg.s3, CONSTS.rho_air), rel=1e-12)
-    tuned = make_config(f_rot=f_rot)
+    tuned = apply_override(replace(default_system(), fcs=cfg), "fcs.q_ab_lpm", 8.1).fcs
+    assert tuned == replace(
+        cfg, f_rot=lever_force(cfg.alpha * lpm_to_m3s(8.1), cfg.s3, CONSTS.rho_air))
     assert classify_state(lpm_to_m3s(8.0), tuned, CONSTS) is FcsState.A
     assert classify_state(lpm_to_m3s(8.2), tuned, CONSTS) is not FcsState.A
 

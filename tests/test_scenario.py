@@ -578,6 +578,23 @@ def test_design_search_keeps_its_own_design(q_ab, q_bc, share, full_inlet):
     assert design_search(targets, tuned)[0] == tuned
 
 
+@st.composite
+def bench_targets(draw):
+    """Targets in the benchmark's design-search ranges [L/min]."""
+    q_bc = draw(st.floats(90.0, 140.0))
+    return DesignTargets(draw(st.floats(4.0, 20.0)), q_bc,
+                         draw(st.floats(20.0, min(80.0, 0.9 * q_bc))))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(targets=bench_targets())
+def test_design_search_lever_onset_is_the_q_ab_key(targets):
+    # one jet law: the tuned f_rot is, bit for bit, what the config's
+    # q_ab_lpm gives on the tuned switch
+    tuned, _ = design_search(targets)
+    assert tuned.fcs.f_rot == apply_override(tuned, "fcs.q_ab_lpm", targets.q_ab_lpm).fcs.f_rot
+
+
 def test_design_search_new_targets():
     targets = DesignTargets(q_ab_lpm=20.0, q_bc_lpm=100.0, q2_activation_lpm=30.0)
     tuned, report = design_search(targets)

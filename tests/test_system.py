@@ -15,12 +15,12 @@ from flowhand.system import (
     DesignTargets,
     blocking_curve,
     default_system,
-    listed_inversion_s3,
     measured_alpha,
     prototype,
     solve_for_targets,
 )
 from flowhand.finger import FingerConfig
+from flowhand.scenario import validate_table1
 from flowhand.tasks import HandConfig
 from flowhand.venturi import VenturiConfig, size_orifice
 
@@ -100,9 +100,10 @@ def test_calibrated_s3_flips_exactly_at_pinch_off():
 
 
 def test_listed_inversion_s3_closed_form():
-    spec = prototype("A")
+    # the table validator backs s3 out of the reference row's published columns
+    spec = prototype(REFERENCE_LABEL)
     expect = spec.epsilon * CONSTS.rho_air * spec.q3_listed ** 2 / spec.f1_listed
-    s3 = listed_inversion_s3(spec, CONSTS)
+    s3 = validate_table1().s3
     assert s3 == pytest.approx(expect, rel=1e-12)
     assert s3 == pytest.approx(1.1546402640264026e-5, rel=1e-12)
 
