@@ -15,6 +15,14 @@ nothing else: an injector key such as h_t_mm or rho_lub keeps the
 reference orifice, which design-search re-sizes.  The supply-tube area
 VenturiConfig.s_t has no key: it cancels out of every output.
 
+File loads and apply_override share one path, _apply.  It calls the
+section's class once on the base's fields merged with the parsed keys,
+so the section's checks run once, and it returns the base section
+itself when no key is given.  q_ab_lpm alone builds the section once,
+from the base's alpha and s3; next to other keys of the section, those
+are built and checked first, then q_ab_lpm is checked and applied.  A
+section no key names stays the same object, which sweep relies on.
+
 Unknown sections or keys are errors carrying the dotted path; silent
 ignores would let a typo masquerade as a tuned parameter.  For the same
 reason read_json rejects a key given twice in one object, in config and
@@ -25,7 +33,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import replace
 from pathlib import Path
 from typing import Any
 
@@ -116,6 +123,8 @@ def _scaled(to_si, from_si):
 
     def emit(si: float) -> float:
         value = from_si(si)
+        if to_si(value) == si:
+            return value
         down, up = math.nextafter(value, -math.inf), math.nextafter(value, math.inf)
         nearby = (value, down, up, math.nextafter(down, -math.inf), math.nextafter(up, math.inf))
         return next((near for near in nearby if to_si(near) == si), value)
@@ -223,8 +232,9 @@ def _apply(section: str, base: Any, raw: dict, consts: PhysConstants) -> Any:
         if key != "q_ab_lpm":
             field, (parse, _) = rows[key]
             updates[field] = parse(value, f"{section}.{key}")
+    make = type(base)
     try:
-        cfg = replace(base, **updates)
+        cfg = make(**{**vars(base), **updates}) if updates else base
         if "q_ab_lpm" in raw:
             q_ab = _number(raw["q_ab_lpm"], "fcs.q_ab_lpm")
             q = q_ab / LPM_PER_M3S
@@ -235,7 +245,7 @@ def _apply(section: str, base: Any, raw: dict, consts: PhysConstants) -> Any:
             if not math.isfinite(f_rot):    # the jet force at q_ab overflows
                 raise ConfigError(f"fcs.q_ab_lpm: {q_ab:g} L/min calibrates f_rot_N "
                                   f"to {f_rot}, which must be finite")
-            cfg = replace(cfg, f_rot=f_rot)
+            cfg = make(**{**vars(cfg), "f_rot": f_rot})
     except ValueError as exc:
         raise ConfigError(f"{section}: {exc}") from exc
     return cfg
@@ -259,9 +269,9 @@ def load_system(source: dict | str | Path | None = None) -> SystemConfig:
     system = default_system()
     if not raw:
         return system
-    return replace(system, **{
+    return SystemConfig(**{**vars(system), **{
         section: _apply(section, getattr(system, section), keys, system.consts)
-        for section, keys in raw.items()})
+        for section, keys in raw.items()}})
 
 
 def system_to_dict(system: SystemConfig) -> dict:
@@ -303,4 +313,4 @@ def apply_override(system: SystemConfig, path: str, value: Any) -> SystemConfig:
     """
     section, key = _config_path(path)
     cfg = _apply(section, getattr(system, section), {key: value}, system.consts)
-    return replace(system, **{section: cfg})
+    return SystemConfig(**{**vars(system), section: cfg})

@@ -690,29 +690,35 @@ def sweep(
     whether injection ever fired, and the peak finger pressure.  Rows
     keep the input order.  An unknown key is a ConfigError, with or
     without values.
+
+    apply_override hands back the sections a value does not touch as
+    the same objects, so the two flips are evaluated once per distinct
+    switch section and the onset once per distinct switch and injector
+    pair: a venturi or finger key solves the flips once, a finger or
+    hand key the onset too.
     """
     _config_path(param)
     base = system or default_system()
+    consts = base.consts
     rows = []
+    fcs = venturi = None
     for value in values:
         sys_i = apply_override(base, param, value)
-        q_ab, q_bc = state_thresholds(sys_i.fcs, sys_i.consts)
-        act = activation_threshold(sys_i.venturi, sys_i.fcs, sys_i.consts)
-        row = SweepRow(
-            param=param, value=float(value),
-            q_ab_lpm=None if q_ab is None else m3s_to_lpm(q_ab),
-            q_bc_lpm=None if q_bc is None else m3s_to_lpm(q_bc),
-            activation_lpm=None if act is None else m3s_to_lpm(act),
-        )
+        if sys_i.fcs is not fcs:
+            fcs = sys_i.fcs
+            flips = [None if q is None else m3s_to_lpm(q) for q in state_thresholds(fcs, consts)]
+            venturi = None
+        if sys_i.venturi is not venturi:
+            venturi = sys_i.venturi
+            act = activation_threshold(venturi, fcs, consts)
+            act_lpm = None if act is None else m3s_to_lpm(act)
+        row = (param, float(value), *flips, act_lpm)
         if scenario is not None:
             trace = run_scenario(scenario, sys_i, scene)
             outputs = trace.outputs          # each row is held by a run
-            row = row._replace(
-                final_state=outputs[trace.runs[-1][1]].state,
-                injected=any(o.injection for o in outputs),
-                max_p_f_kpa=pa_to_kpa(max(o.p_f for o in outputs)),
-            )
-        rows.append(row)
+            row += (outputs[trace.runs[-1][1]].state, any(o.injection for o in outputs),
+                    pa_to_kpa(max(o.p_f for o in outputs)))
+        rows.append(SweepRow(*row))
     return rows
 
 

@@ -175,8 +175,12 @@ def solve_for_targets(
         raise InfeasibleDesignError(
             f"targets need 0 < q_ab < q_bc, got {q_ab} and {q_bc} L/min: "
             "the lever must rotate before it can block")
+    if not q2_act > 0:
+        raise InfeasibleDesignError(
+            f"q2 activation target {q2_act} L/min must be > 0: injection "
+            "starts at a positive injection-line flow")
     jet_at_bc = alpha * q_bc
-    if not 0 < q2_act <= jet_at_bc:
+    if not q2_act <= jet_at_bc:
         raise InfeasibleDesignError(
             f"q2 activation target {q2_act} L/min exceeds the jet flow at "
             f"pinch-off (alpha * q_bc = {jet_at_bc:.6g} L/min), so no "

@@ -425,6 +425,18 @@ def test_design_search_infeasible(capsys):
     assert "q_ab < q_bc" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("q2", ["0", "-5"])
+def test_design_search_non_positive_q2_exits_1(q2, tmp_path, capsys):
+    out = tmp_path / "tuned.json"
+    assert main(["design-search", "--q-ab", "8", "--q-bc", "100", "--q2", q2,
+                 "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: q2 activation target {float(q2)} L/min must be > 0: "
+                            "injection starts at a positive injection-line flow\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("targets", [("5", "1e200", "30"), ("1e-300", "1e300", "1")])
 def test_design_search_overflowing_jet_area_exits_1(targets, capsys):
     # the calibrated s3 overflows to inf, which zeroed the pinch-force gain

@@ -171,6 +171,18 @@ def test_invalid_value_wrapped_with_section():
         load_system({"hand": {"mu_low": 5.0}})
 
 
+@pytest.mark.parametrize("fcs, message", [
+    ({"alpha": -0.5, "q_ab_lpm": 9}, "fcs: alpha must be in (0, 1), got -0.5"),
+    ({"s3_mm2": 0, "q_ab_lpm": 9}, "fcs: s3 must be finite and > 0, got 0.0"),
+    # q_ab 1e-320 L/min is 0 m^3/s, so a q_ab check run first would win
+    ({"epsilon": -1, "q_ab_lpm": 1e-320}, "fcs: epsilon must be finite and > 0, got -1.0"),
+])
+def test_section_checks_precede_q_ab_checks(fcs, message):
+    with pytest.raises(ConfigError) as info:
+        load_system({"fcs": fcs})
+    assert str(info.value) == message
+
+
 def test_bad_knots_reported_with_index():
     with pytest.raises(ConfigError, match=r"f_block_knots\[1\]"):
         load_system({"fcs": {"f_block_knots": [[1.7, 0.98], [2.0]]}})

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import flowhand.scenario as scenario_module
 from flowhand.config import ConfigError, _float, apply_override, load_system
-from flowhand.core import LPM_PER_M3S, lpm_to_m3s, m3s_to_lpm
+from flowhand.core import LPM_PER_M3S, lpm_to_m3s, m3s_to_lpm, pa_to_kpa
 from flowhand.fcs import FcsState
 from flowhand.finger import FingerConfig
 from flowhand.scenario import (
@@ -23,6 +23,7 @@ from flowhand.scenario import (
     Scenario,
     Segment,
     SimulationError,
+    SweepRow,
     design_search,
     injection_displacement,
     load_scenario,
@@ -552,6 +553,79 @@ def test_sweep_unknown_param():
     for values in ([1.0], []):
         with pytest.raises(ConfigError, match="unknown config path"):
             sweep("fcs.alfa", values)
+
+
+# the benchmark's in-range sweep keys and ranges (bench/workloads.py SWEEP_KEYS)
+SWEEP_RANGES = {
+    "fcs.alpha": (0.95, 0.995),
+    "fcs.epsilon": (2.0, 3.5),
+    "fcs.s3_mm2": (9.0, 14.0),
+    "fcs.gamma": (0.3, 0.6),
+    "fcs.q_ab_lpm": (5.0, 20.0),
+    "venturi.s_out_mm2": (14.0, 17.5),
+    "venturi.h_t_mm": (40.0, 70.0),
+    "finger.p_max_kpa": (25.0, 45.0),
+}
+SWEEP_SCENARIO = Scenario("short", (seg(0.02, 50.0), seg(0.03, 150.0), seg(0.02, 5.0)))
+
+
+def sweep_value_by_value(param, values, scenario=None):
+    """sweep's rows with every threshold solved afresh for each value."""
+    rows = []
+    for value in values:
+        system = apply_override(default_system(), param, value)
+        q_ab, q_bc = state_thresholds(system.fcs, system.consts)
+        act = activation_threshold(system.venturi, system.fcs, system.consts)
+        row = SweepRow(param, float(value),
+                       *(None if q is None else m3s_to_lpm(q) for q in (q_ab, q_bc, act)))
+        if scenario is not None:
+            trace = run_scenario(scenario, system)
+            row = row._replace(final_state=trace.outputs[trace.runs[-1][1]].state,
+                               injected=any(o.injection for o in trace.outputs),
+                               max_p_f_kpa=pa_to_kpa(max(o.p_f for o in trace.outputs)))
+        rows.append(row)
+    return rows
+
+
+def rows_or_message(route, param, values, scenario):
+    try:
+        return route(param, values, scenario=scenario)
+    except ConfigError as exc:
+        return f"ConfigError: {exc}"
+
+
+@pytest.mark.parametrize("param", sorted(SWEEP_RANGES))
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), scenario=st.sampled_from([None, SWEEP_SCENARIO]))
+def test_sweep_matches_value_by_value(param, data, scenario):
+    # solving a section's thresholds once per distinct section changes no row
+    lo, hi = SWEEP_RANGES[param]
+    values = data.draw(st.lists(st.floats(lo, hi), max_size=6))
+    if data.draw(st.booleans()):    # a value out of range, which the key's checks may reject
+        values.insert(data.draw(st.integers(0, len(values))),
+                      data.draw(st.sampled_from([0, -1, 1e300])))
+    assert (rows_or_message(sweep, param, values, scenario)
+            == rows_or_message(sweep_value_by_value, param, values, scenario))
+
+
+@pytest.mark.parametrize("param, flips, onsets", [
+    ("venturi.h_t_mm", 1, 10), ("finger.p_max_kpa", 1, 1), ("fcs.alpha", 10, 10)])
+def test_sweep_solves_each_section_once(param, flips, onsets, monkeypatch):
+    calls = {"state_thresholds": 0, "activation_threshold": 0}
+
+    def counted(name):
+        real = getattr(scenario_module, name)
+
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(scenario_module, name, counted(name))
+    lo, hi = SWEEP_RANGES[param]
+    sweep(param, [lo + (hi - lo) * i / 9 for i in range(10)])
+    assert calls == {"state_thresholds": flips, "activation_threshold": onsets}
 
 
 def test_design_search_reproduces_reference():
