@@ -57,8 +57,8 @@ def _emit(write, out: str | None) -> None:
 
 
 def _warn(lines) -> None:
-    for line in lines:
-        print(f"warning: {line}", file=sys.stderr)
+    """Each line as "warning: <line>" on stderr, all in one write."""
+    sys.stderr.write("".join([f"warning: {line}\n" for line in lines]))
 
 
 def _cmd_simulate(args) -> int:

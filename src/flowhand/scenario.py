@@ -24,11 +24,14 @@ time string made per row.
 And since the hand has one input, a scenario of thousands of segments
 repeats a few segments and reuses a few operating points.  So, in tables
 local to the call, load_scenario builds each distinct segment once per
-file, and run_scenario evaluates each distinct command, adds each
-(command, latch, friction) row and decides each (event, latch, friction)
-outcome once per run, the latch indexing the distinct finger outputs.
-Per segment run only table lookups, the latch, the friction regime and
-one closed-form pass for all the stops, _stops.
+file, Scenario.warnings formats each distinct command's warning once,
+and run_scenario evaluates each distinct command and adds each
+(command, latch, friction) row once per run, the latch indexing the
+distinct finger outputs.  Per segment run only table lookups, the
+latch, the friction regime and one closed-form pass for all the stops,
+_stops.  A trace reports one outcome per event kind, that of its last
+event, so run_scenario decides at most four outcomes per run, after
+its loop.
 
 The finger pressure latches because pinch-off seals the finger line:
 whatever air is in the chamber stays there while the switch is in the
@@ -50,7 +53,17 @@ from functools import cache
 from itertools import accumulate, groupby
 from typing import NamedTuple
 
-from .config import ConfigError, _config_path, _float, _number, apply_override, read_json
+from .config import (
+    ConfigError,
+    _CURVE,
+    _KPA_CURVE,
+    _TABLE,
+    _config_path,
+    _float,
+    _number,
+    apply_override,
+    read_json,
+)
 from .core import (
     LPM_PER_M3S,
     PhysConstants,
@@ -176,24 +189,27 @@ class Scenario(_Value):
     def warnings(self) -> list[str]:
         """Controller-contract violations: the valve driver does 0-50 for
         motion plus the single full-open injection command.  One line per
-        offending segment; a command that gave none is not checked again."""
+        offending segment, "segment i: " and its command's text; a table
+        local to the call checks and formats each distinct command once,
+        "" for one that gives no warning."""
         out = []
-        quiet = set()          # commands that gave no warning
+        texts: dict = {}       # q_src -> its warning text, or ""
         for i, seg in enumerate(self.segments):
-            if seg.q_src in quiet:
-                continue
-            q = m3s_to_lpm(seg.q_src)
-            if MOTION_MAX_LPM < q < INJECTION_COMMAND_LPM:
-                out.append(
-                    f"segment {i}: q_src {q:g} L/min is between the motion band "
-                    f"(0-{MOTION_MAX_LPM:g}) and the injection command "
-                    f"({INJECTION_COMMAND_LPM:g})")
-            elif q > INJECTION_COMMAND_LPM:
-                out.append(
-                    f"segment {i}: q_src {q:g} L/min exceeds the source maximum "
-                    f"({INJECTION_COMMAND_LPM:g})")
-            else:
-                quiet.add(seg.q_src)
+            text = texts.get(seg.q_src)
+            if text is None:
+                q = m3s_to_lpm(seg.q_src)
+                if MOTION_MAX_LPM < q < INJECTION_COMMAND_LPM:
+                    text = (f"q_src {q:g} L/min is between the motion band "
+                            f"(0-{MOTION_MAX_LPM:g}) and the injection command "
+                            f"({INJECTION_COMMAND_LPM:g})")
+                elif q > INJECTION_COMMAND_LPM:
+                    text = (f"q_src {q:g} L/min exceeds the source maximum "
+                            f"({INJECTION_COMMAND_LPM:g})")
+                else:
+                    text = ""
+                texts[seg.q_src] = text
+            if text:
+                out.append(f"segment {i}: {text}")
         return out
 
 
@@ -385,8 +401,9 @@ class SimTrace(NamedTuple):
         gives suffixes, a chunk of c rows in second s is the single join
         str(s) + (tail + str(s)).join(suffixes[f:f + c*m:m]) + tail, with
         no string made per row.  Elsewhere a chunk is its formatted
-        times joined by its tail.  A one-row chunk is its time text plus
-        its tail.  k, s and f carry from run to run, from step 0; a run
+        times joined by its tail.  A one-row chunk in the table goes into
+        the write buffer as its three texts, str(s), suffixes[f] and
+        tail, unjoined.  k, s and f carry from run to run, from step 0; a run
         whose stop is at or before the step k covers no step, a
         ValueError.
 
@@ -426,7 +443,7 @@ class SimTrace(NamedTuple):
                 c = stop - k
                 if k < table_stop:
                     if c == 1:
-                        rows.append(sec + suffixes[f] + tail)
+                        rows += sec, suffixes[f], tail
                     else:
                         c = min(c, (scale - 1 - f) // m + 1, room)
                         rows += sec, (tail + sec).join(suffixes[f:f + c * m:m]), tail
@@ -492,15 +509,17 @@ def run_scenario(
     only while SimTrace.to_csv writes them.  Each distinct command is
     evaluated once, at its first segment, which is also where a
     non-finite output raises SimulationError; each distinct (command,
-    latch, friction) adds one row, and each distinct (event, latch,
-    friction) has its outcome decided once.  The latched pressure and
-    the friction regime carry across segments.  Friction starts HIGH,
-    turns LOW at a segment that injects and stays LOW until a place
-    event releases the object and wipes the lubricant: the place segment
+    latch, friction) adds one row.  The latched pressure and the
+    friction regime carry across segments.  Friction starts HIGH, turns
+    LOW at a segment that injects and stays LOW until a place event
+    releases the object and wipes the lubricant: the place segment
     still reads LOW, the next one HIGH.  Task events fire at segment
     start, after its injection; grasp, lift, and place need a scene, and
-    the last event of each kind wins.  A segment that covers no timestep
-    sample is a ConfigError.
+    the last event of each kind wins, so only that one has its outcome
+    decided, once, after the loop and from its segment's row.  At each
+    segment a non-finite output is checked first, then an event's scene,
+    then that the segment covers a timestep sample; the last two fail
+    as a ConfigError.
     """
     system = system or default_system()
     consts = system.consts
@@ -522,8 +541,7 @@ def run_scenario(
     low = False                # friction is LOW
     rows: dict = {}            # (q_src, latch, low) -> its index in outputs
     outputs: list[TraceRow] = []
-    outcomes: dict = {}        # (event, latch, low) -> its outcome
-    last: dict = {}            # event -> its last outcome
+    last: dict = {}            # event -> the row of its last segment
     row_of: list[int] = []     # each segment's row, so far
 
     for seg, k, stop in zip(scenario.segments, steps, stops):
@@ -548,24 +566,8 @@ def run_scenario(
             low = True
 
         event = seg.event
-        if event is not None:
-            result = outcomes.get(key := (event, latch, low))
-            if result is None:
-                if scene is None and event != "pivot":
-                    raise ConfigError(f"segment {len(row_of)}: event '{event}' needs a scene")
-                friction = _FRICTION[low]
-                f_tip = fingers[latch][1]
-                if event == "grasp":
-                    result = can_grasp(scene, f_tip, hand, consts, mu=hand.mu(friction))
-                elif event == "pivot":
-                    result = pivot_feasible(hand.mu(friction), hand)
-                else:
-                    result = placement_slip(scene, f_tip, hand, friction, consts)
-                    if event == "lift":
-                        result = result is PlacementOutcome.HELD_FIXED
-                outcomes[key] = result
-            last[event] = result
-
+        if event is not None and scene is None and event != "pivot":
+            raise ConfigError(f"segment {len(row_of)}: event '{event}' needs a scene")
         if stop == k:
             i = len(row_of)
             raise ConfigError(f"segment {i} (t={starts[i]:g} s, {seg.duration:g} s long) "
@@ -577,12 +579,27 @@ def run_scenario(
             outputs.append(TraceRow(q_src, out.q1, out.q2, out.q_exhaust, out.state, p_f, r,
                                     f_tip, injecting, _FRICTION[low]))
         row_of.append(row)
-        if event == "place":       # object gone, lubricant wiped with it
-            low = False
+        if event is not None:
+            last[event] = row
+            if event == "place":   # object gone, lubricant wiped with it
+                low = False
 
+    # each reported outcome is decided once, from the row of its kind's
+    # last event segment, which holds the latched f_tip and the friction
+    # the event fired at (a place resets the friction after its row)
+    outcomes = {}
+    for event, row in last.items():
+        f_tip, friction = outputs[row].f_tip, outputs[row].friction
+        if event == "grasp":
+            outcomes[event] = can_grasp(scene, f_tip, hand, consts, mu=hand.mu(friction))
+        elif event == "pivot":
+            outcomes[event] = pivot_feasible(hand.mu(friction), hand)
+        else:
+            result = placement_slip(scene, f_tip, hand, friction, consts)
+            outcomes[event] = result is PlacementOutcome.HELD_FIXED if event == "lift" else result
     # the outcome fields follow EVENTS: grasp_ok, lift_ok, place_outcome, pivot_ok
     return SimTrace(scenario.name, dt, tuple(zip(stops, row_of)), tuple(outputs),
-                    *map(last.get, EVENTS))
+                    *map(outcomes.get, EVENTS))
 
 
 def _check_finite(names: str, *values: float) -> None:
@@ -688,8 +705,8 @@ def sweep(
     recalibration rules hold), then the three operating thresholds are
     extracted; with a scenario, a run per value adds its final state,
     whether injection ever fired, and the peak finger pressure.  Rows
-    keep the input order.  An unknown key is a ConfigError, with or
-    without values.
+    keep the input order.  An unknown key, or one whose value is a list
+    of knots, is a ConfigError, with or without values.
 
     apply_override hands back the sections a value does not touch as
     the same objects, so the two flips are evaluated once per distinct
@@ -697,7 +714,9 @@ def sweep(
     pair: a venturi or finger key solves the flips once, a finger or
     hand key the onset too.
     """
-    _config_path(param)
+    section, key = _config_path(param)
+    if _TABLE[section][key][1] in (_CURVE, _KPA_CURVE):
+        raise ConfigError(f"{param}: a list of knots cannot be swept; a sweep value is a number")
     base = system or default_system()
     consts = base.consts
     rows = []

@@ -61,6 +61,20 @@ def test_simulate_warns_on_odd_flows(tmp_path, capsys):
     assert "between the motion band" in capsys.readouterr().err
 
 
+def test_simulate_warnings_read_as_one_print_per_line(tmp_path, capsys):
+    path = tmp_path / "odd.json"
+    path.write_text(json.dumps({"segments": [
+        {"duration_s": 0.01, "q_src_lpm": q} for q in (70.0, 50.0, 200.0, 70.0, 150.0, 70.0)]}))
+    assert main(["simulate", str(path), "--out", str(tmp_path / "trace.csv")]) == 0
+    gap = "q_src 70 L/min is between the motion band (0-50) and the injection command (150)"
+    over = "q_src 200 L/min exceeds the source maximum (150)"
+    want = io.StringIO()
+    for line in (f"segment 0: {gap}", f"segment 2: {over}", f"segment 3: {gap}",
+                 f"segment 5: {gap}"):
+        print(f"warning: {line}", file=want)
+    assert capsys.readouterr() == ("", want.getvalue())
+
+
 def test_simulate_with_config(scenario_file, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"finger": {"p_max_kpa": 20.0}}))
@@ -111,6 +125,14 @@ def test_sweep_unknown_param_exits_1(param, values, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"config error: unknown config path '{param}'\n"
+
+
+@pytest.mark.parametrize("values", ["5", ","])
+@pytest.mark.parametrize("param", ["fcs.f_block_knots", "finger.pressure_map_knots"])
+def test_sweep_list_valued_param_exits_1(param, values, capsys):
+    assert main(["sweep", "--param", param, "--values", values]) == 1
+    assert capsys.readouterr() == ("", f"config error: {param}: a list of knots cannot be "
+                                       "swept; a sweep value is a number\n")
 
 
 def test_exhaust_port_is_no_config_key(tmp_path, capsys):

@@ -285,6 +285,25 @@ def test_warnings_name_every_offending_segment_of_a_repeated_command():
     assert [w.split(":")[0] for w in warns] == [f"segment {i}" for i in (0, 2, 3, 5)]
 
 
+def test_warnings_start_just_past_the_band_edges():
+    sc = Scenario("edges", tuple(seg(1.0, q) for q in (50.0, 150.0, 50.0001, 150.0001, 50.0)))
+    assert sc.warnings() == [
+        "segment 2: q_src 50.0001 L/min is between the motion band (0-50) and the "
+        "injection command (150)",
+        # :g keeps six digits, so 150.0001 prints as 150
+        "segment 3: q_src 150 L/min exceeds the source maximum (150)"]
+    assert sc.warnings() == per_segment_warnings(sc)
+
+
+def test_repeated_offending_command_warns_once_per_segment_in_order():
+    sc = Scenario("r", tuple(seg(1.0, q) for q in (70.0, 70.0, 5.0, 200.0, 70.0, 200.0, 200.0)))
+    gap = "q_src 70 L/min is between the motion band (0-50) and the injection command (150)"
+    over = "q_src 200 L/min exceeds the source maximum (150)"
+    assert sc.warnings() == [f"segment 0: {gap}", f"segment 1: {gap}", f"segment 3: {over}",
+                             f"segment 4: {gap}", f"segment 5: {over}", f"segment 6: {over}"]
+    assert sc.warnings() == per_segment_warnings(sc)
+
+
 def test_zero_flow_is_state_a_everywhere():
     trace = run_scenario(hold(0.0, duration=0.1))
     assert len(step_records(trace)) == 10
@@ -462,6 +481,18 @@ def test_grasp_event_requires_scene():
     sc = Scenario("g", (seg(0.05, 50.0, event="grasp"),))
     with pytest.raises(ConfigError, match="needs a scene"):
         run_scenario(sc)
+
+
+# no value, an empty knot list, one valid knot list
+@pytest.mark.parametrize("values", [[], [[]], [[[1.7, 0.98], [10.5, 1.34]]]])
+@pytest.mark.parametrize("param", ["fcs.f_block_knots", "finger.pressure_map_knots"])
+def test_sweep_rejects_a_list_valued_key_before_any_value(param, values, monkeypatch):
+    applied = []
+    monkeypatch.setattr(scenario_module, "apply_override",
+                        lambda *args: applied.append(args) or apply_override(*args))
+    with pytest.raises(ConfigError, match=rf"^{param}: a list of knots cannot be swept"):
+        sweep(param, values)
+    assert applied == []
 
 
 def test_event_stamped_on_first_row_only():
