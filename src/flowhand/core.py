@@ -140,7 +140,7 @@ class PiecewiseLinearCurve(_Value):
     Below the first knot the first y is held (clamped, so calibration
     curves stay positive near zero); above the last knot the final
     segment's slope is extended.  A single-knot curve is constant
-    everywhere.
+    everywhere.  The knots' x span and y span must be finite floats.
 
     An immutable value: assigning a field raises AttributeError, and
     curves with equal knots compare and hash equal.
@@ -161,6 +161,10 @@ class PiecewiseLinearCurve(_Value):
         for a, b in zip(xs, xs[1:]):
             if not a < b:
                 raise ValueError(f"knot x values must be strictly increasing ({a} !< {b})")
+        # each piece divides and scales by differences of knots, which must stay finite
+        for axis, vs in (("x", xs), ("y", ys)):
+            if not math.isfinite(max(vs) - min(vs)):
+                raise ValueError(f"curve knots' {axis} span {min(vs)} to {max(vs)} is not finite")
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "_xs", xs)
         object.__setattr__(self, "_ys", ys)
@@ -172,7 +176,8 @@ class PiecewiseLinearCurve(_Value):
         i = bisect_left(xs, x)
         if i == len(xs):  # extend the last segment
             (x0, y0), (x1, y1) = self.knots[-2:]
-            return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+            # a flat piece stays flat: x - x0 may overflow, and 0 * inf is nan
+            return y1 if y0 == y1 else y0 + (y1 - y0) * (x - x0) / (x1 - x0)
         if xs[i] == x:
             return ys[i]
         x0, x1 = xs[i - 1], xs[i]

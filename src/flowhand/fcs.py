@@ -32,7 +32,9 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import NamedTuple
 
-from .core import LPM_PER_M3S, PhysConstants, PiecewiseLinearCurve, m3s_to_lpm
+from .core import LPM_PER_M3S, ConfigError, PhysConstants, PiecewiseLinearCurve, m3s_to_lpm
+
+STATE_CEILING = 150.0 / LPM_PER_M3S    # supply ceiling for the state flips [m^3/s]
 
 
 class FcsState(IntEnum):
@@ -212,3 +214,20 @@ def pinch_crossings(cfg: FcsConfig, consts: PhysConstants) -> list[float]:
             positive = not positive
     return crossings
 
+
+def state_thresholds(cfg: FcsConfig, consts: PhysConstants) -> tuple[float | None, float | None]:
+    """Source flows [m^3/s] at the A -> B and B -> C flips, in closed form.
+
+    B -> C is the pinch crossing above the lever flip, or the flip itself
+    when the lever blocks as it rotates; more than one such crossing
+    makes the state non-monotone in the flow, a ConfigError.  None where
+    a flip does not happen below the 150 L/min supply ceiling.
+    """
+    q_ab = lever_flip_flow(cfg, consts)
+    seen = [q for q in pinch_crossings(cfg, consts) if q > q_ab]
+    if len(seen) > 1:
+        at = ", ".join(f"{m3s_to_lpm(q):.6g}" for q in seen)
+        raise ConfigError(f"fcs.f_block_knots: the pinch force crosses the blocking force at "
+                          f"{at} L/min, so the state is not monotone in the source flow")
+    q_bc = seen[0] if seen else q_ab
+    return tuple(q if q <= STATE_CEILING else None for q in (q_ab, q_bc))

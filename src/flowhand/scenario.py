@@ -38,9 +38,9 @@ whatever air is in the chamber stays there while the switch is in the
 blocked state, and the command maps to a fresh pressure again once the
 line reopens.
 
-Also here: closed-form threshold extraction (the simulated
-counterparts of the bench-measured flip points), parameter sweeps over
-any config key, inverse design from target thresholds, and the
+Also here: parameter sweeps over any config key, which read the flips
+with fcs.state_thresholds; design_search, which puts the sections that
+system.solve_for_targets solves and checks into a system; and the
 prototype-table validation report.
 """
 
@@ -68,21 +68,18 @@ from .core import (
     LPM_PER_M3S,
     PhysConstants,
     _Value,
-    lpm_to_m3s,
     m3s_to_lpm,
     m_to_mm,
     mm_to_m,
     pa_to_kpa,
 )
 from .fcs import (
-    FcsConfig,
     FcsOutputs,
     FcsState,
     blocking_force,
     calibrate_s3,
-    lever_flip_flow,
     lever_force,
-    pinch_crossings,
+    state_thresholds,
     steady_outputs,
 )
 from .finger import FingerConfig, chamber_pressure, bending_radius, mean_displacement, posture, tip_force
@@ -107,11 +104,9 @@ from .tasks import (
     placement_slip,
 )
 from .venturi import (
-    InfeasibleDesignError,
     activation_threshold,
     injection_active,
     lubricant_column,
-    q2_activation_threshold,
 )
 
 EVENTS = ("grasp", "lift", "place", "pivot")
@@ -119,11 +114,6 @@ EVENTS = ("grasp", "lift", "place", "pivot")
 CSV_HEADER = "t,q_src_lpm,q1_lpm,q2_lpm,q_exhaust_lpm,state,p_f_kpa,r_mm,f_tip_n,injection,friction"
 
 _EPS = 1e-7     # of a timestep, so 1e-9 s at dt = 0.01 s
-STATE_CEILING = lpm_to_m3s(150.0)    # supply ceiling for the state flips
-# closed-form thresholds land on target to rounding; a 1 L/min gate alone
-# would pass a 0.5 L/min target at twice its value
-DESIGN_TOLERANCE_LPM = 1.0
-DESIGN_REL_TOLERANCE = 1e-6
 # twice the 1M-row scenario the performance targets are set for; a trace
 # holds one run per segment however many rows it covers, so the cap
 # bounds the run time and the CSV size of a runaway duration/timestep,
@@ -191,19 +181,23 @@ class Scenario(_Value):
         motion plus the single full-open injection command.  One line per
         offending segment, "segment i: " and its command's text; a table
         local to the call checks and formats each distinct command once,
-        "" for one that gives no warning."""
+        "" for one that gives no warning.  The command prints with :g,
+        or as its repr where :g would read as a band edge it is not."""
         out = []
         texts: dict = {}       # q_src -> its warning text, or ""
         for i, seg in enumerate(self.segments):
             text = texts.get(seg.q_src)
             if text is None:
                 q = m3s_to_lpm(seg.q_src)
+                shown = f"{q:g}"
+                if float(shown) in (MOTION_MAX_LPM, INJECTION_COMMAND_LPM):
+                    shown = repr(q)     # an edge itself never warns
                 if MOTION_MAX_LPM < q < INJECTION_COMMAND_LPM:
-                    text = (f"q_src {q:g} L/min is between the motion band "
+                    text = (f"q_src {shown} L/min is between the motion band "
                             f"(0-{MOTION_MAX_LPM:g}) and the injection command "
                             f"({INJECTION_COMMAND_LPM:g})")
                 elif q > INJECTION_COMMAND_LPM:
-                    text = (f"q_src {q:g} L/min exceeds the source maximum "
+                    text = (f"q_src {shown} L/min exceeds the source maximum "
                             f"({INJECTION_COMMAND_LPM:g})")
                 else:
                     text = ""
@@ -657,24 +651,6 @@ def injection_displacement(trace: SimTrace, cfg: FingerConfig) -> float | None:
     return mean_displacement(posture(p_before, cfg), posture(p_after, cfg))
 
 
-def state_thresholds(cfg: FcsConfig, consts: PhysConstants) -> tuple[float | None, float | None]:
-    """Source flows [m^3/s] at the A -> B and B -> C flips, in closed form.
-
-    B -> C is the pinch crossing above the lever flip, or the flip itself
-    when the lever blocks as it rotates; more than one such crossing
-    makes the state non-monotone in the flow, a ConfigError.  None where
-    a flip does not happen below the 150 L/min supply ceiling.
-    """
-    q_ab = lever_flip_flow(cfg, consts)
-    seen = [q for q in pinch_crossings(cfg, consts) if q > q_ab]
-    if len(seen) > 1:
-        at = ", ".join(f"{m3s_to_lpm(q):.6g}" for q in seen)
-        raise ConfigError(f"fcs.f_block_knots: the pinch force crosses the blocking force at "
-                          f"{at} L/min, so the state is not monotone in the source flow")
-    q_bc = seen[0] if seen else q_ab
-    return tuple(q if q <= STATE_CEILING else None for q in (q_ab, q_bc))
-
-
 # --- parameter sweeps -------------------------------------------------
 
 SWEEP_HEADER = "param,value,q_ab_lpm,q_bc_lpm,activation_lpm"
@@ -762,58 +738,25 @@ def sweep_csv(rows: list[SweepRow], with_scenario: bool = False) -> str:
 
 # --- inverse design ---------------------------------------------------
 
-class DesignReport(NamedTuple):
-    """Achieved thresholds next to the targets, L/min.
-
-    `achieved` is read back from the tuned config in closed form and must
-    be within both DESIGN_TOLERANCE_LPM and DESIGN_REL_TOLERANCE of each target."""
-
-    targets: DesignTargets
-    achieved: tuple[float, float, float]
-
-    def within_tolerance(self) -> bool:
-        return all(map(_near, self.achieved, self.targets))
-
-
-def _near(achieved: float, goal: float) -> bool:
-    """achieved is within both design tolerances of goal [L/min]."""
-    return abs(achieved - goal) <= min(DESIGN_TOLERANCE_LPM, DESIGN_REL_TOLERANCE * goal)
-
-
 def design_search(
     targets: DesignTargets,
     system: SystemConfig | None = None,
-) -> tuple[SystemConfig, DesignReport]:
+) -> tuple[SystemConfig, tuple[float, float, float]]:
     """Tune jet area, lever onset, injection fraction, and orifice so the
     simulated thresholds hit the targets.
 
-    solve_for_targets checks the targets and solves the four free
-    parameters in closed form; at the paper's anchors it gives
-    default_system.  Then the thresholds are read back from the tuned
-    config and gated on the absolute and the relative tolerance; under
-    both inlet models the activation read back is gated on q_bc too.
-    Raises InfeasibleDesignError naming the binding constraint when no
-    setting can work, and ConfigError for a non-finite target.
+    solve_for_targets checks the targets, solves the four free
+    parameters in closed form and reads the thresholds back; at the
+    paper's anchors it gives default_system.  Returns the tuned system
+    and the achieved (q_ab, q_bc, q2 onset) in L/min.  Raises
+    InfeasibleDesignError naming the binding constraint when no setting
+    can work, and ConfigError for a non-finite target.
     """
     base = system or default_system()
-    consts, fcs = base.consts, base.fcs
-    tuned_fcs, venturi = solve_for_targets(targets, fcs.alpha, fcs.epsilon, fcs.f_block_curve,
-                                           base.venturi, consts)
-    tuned = replace(base, fcs=tuned_fcs, venturi=venturi)
-
-    # the composed system must also start injecting at the q_bc target
-    got = (*state_thresholds(tuned_fcs, consts), q2_activation_threshold(venturi, consts),
-           activation_threshold(venturi, tuned_fcs, consts))
-    if None in got:
-        raise InfeasibleDesignError(f"verification lost a threshold: got {got}")
-    *achieved, act = map(m3s_to_lpm, got)
-    report = DesignReport(targets=targets, achieved=tuple(achieved))
-    if not (report.within_tolerance() and _near(act, targets.q_bc_lpm)):
-        raise InfeasibleDesignError(
-            f"tuned config missed the targets: achieved {report.achieved}, injecting from "
-            f"{act:g} L/min, wanted within {DESIGN_TOLERANCE_LPM} L/min and "
-            f"{DESIGN_REL_TOLERANCE:g} relative")
-    return tuned, report
+    fcs = base.fcs
+    tuned_fcs, venturi, achieved = solve_for_targets(
+        targets, fcs.alpha, fcs.epsilon, fcs.f_block_curve, base.venturi, base.consts)
+    return replace(base, fcs=tuned_fcs, venturi=venturi), achieved
 
 
 # --- prototype-table validation ---------------------------------------

@@ -17,8 +17,10 @@ The rows double as calibration data:
   * solve_for_targets       checks the target flows, then solves the jet
                             nozzle area, lever onset, injection fraction
                             and orifice that put the two flips and the
-                            injection onset on them; the one solve behind
-                            default_system and design-search
+                            injection onset on them, and reads the flips
+                            and onsets back, each within DESIGN_TOLERANCE
+                            of its target; the one solve and the one
+                            check behind default_system and design-search
   * default_system          the full tuned stack for build A:
                             solve_for_targets at the measured flips
                             (8.1 and 118 L/min) and the 44 L/min onset,
@@ -40,11 +42,18 @@ import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
-from .core import ConfigError, PhysConstants, PiecewiseLinearCurve, lpm_to_m3s, mm2_to_m2
-from .fcs import FcsConfig, blocking_force, calibrate_s3, lever_force
+from .core import ConfigError, PhysConstants, PiecewiseLinearCurve, lpm_to_m3s, m3s_to_lpm, mm2_to_m2
+from .fcs import FcsConfig, blocking_force, calibrate_s3, lever_force, state_thresholds
 from .finger import FingerConfig
 from .tasks import HandConfig
-from .venturi import InfeasibleDesignError, VenturiConfig, size_exhaust, size_orifice
+from .venturi import (
+    InfeasibleDesignError,
+    VenturiConfig,
+    activation_threshold,
+    q2_activation_threshold,
+    size_exhaust,
+    size_orifice,
+)
 
 # Measured operating points of the tuned build (flows in L/min).
 Q_AB_LPM = 8.1             # source flow at the A -> B lever flip
@@ -52,6 +61,9 @@ Q_BC_LPM = 118.0           # source flow at the B -> C pinch-off
 Q2_ONSET_LPM = 44.0        # injection-line flow at the injection onset
 MOTION_MAX_LPM = 50.0      # top of the finger-motion command band
 INJECTION_COMMAND_LPM = 150.0  # the single full-open injection command
+# closed-form solves land on target to rounding, so a read-back that
+# misses by more than this relative share is a failed solve
+DESIGN_TOLERANCE = 1e-6
 
 
 class PrototypeSpec(NamedTuple):
@@ -95,12 +107,8 @@ _INJECTOR = VenturiConfig(s_in=mm2_to_m2(20.0), s_out=mm2_to_m2(10.0), s_t=mm2_t
 # Pooled (q1_max [L/min], f_block [N]) pairs from the table, sorted by
 # flow: D, A, C, B.  The blocking force rises with the flow the tube
 # carries because the escaping jet pushes the pinch point open.
-DEFAULT_F_BLOCK_KNOTS: tuple[tuple[float, float], ...] = (
-    (1.7, 0.98),
-    (2.0, 0.99),
-    (2.4, 1.02),
-    (10.5, 1.34),
-)
+DEFAULT_F_BLOCK_KNOTS: tuple[tuple[float, float], ...] = tuple(sorted(
+    (m3s_to_lpm(spec.q1_max), spec.f_block_listed) for spec in TABLE1))
 # immutable values, so each is built and checked once, here
 _BLOCKING_CURVE = PiecewiseLinearCurve(DEFAULT_F_BLOCK_KNOTS)
 _FINGER = FingerConfig()
@@ -147,8 +155,9 @@ def solve_for_targets(
     curve: PiecewiseLinearCurve,
     venturi: VenturiConfig,
     consts: PhysConstants,
-) -> tuple[FcsConfig, VenturiConfig]:
-    """Switch and injector that put the flips and the onset on targets.
+) -> tuple[FcsConfig, VenturiConfig, tuple[float, float, float]]:
+    """Switch and injector that put the flips and the onset on targets,
+    and the (q_ab, q_bc, q2 onset) they achieve, in L/min.
 
     Keeps the split ratio, lever arm ratio and blocking curve, and
     solves the four free parameters in closed form:
@@ -162,10 +171,14 @@ def solve_for_targets(
              to it as q2_activation_threshold reads it back; under the
              full inlet size_exhaust then puts the composed onset at q_bc
 
+    Then the two flips, the injection-line onset and the composed onset
+    are read back from the solved sections, and each must be within
+    DESIGN_TOLERANCE, relative, of q_ab, q_bc, q2_activation and q_bc.
+
     Raises ConfigError for a non-finite target, and
     InfeasibleDesignError for targets out of order (0 < q_ab < q_bc,
-    0 < q2_activation <= alpha q_bc) or naming the parameter when no
-    admissible geometry hits them.
+    0 < q2_activation <= alpha q_bc), naming the parameter when no
+    admissible geometry hits them, or when the read-back misses.
     """
     q_ab, q_bc, q2_act = targets
     for name, value in (("q_ab", q_ab), ("q_bc", q_bc), ("q2 activation", q2_act)):
@@ -202,7 +215,18 @@ def solve_for_targets(
     if not venturi.use_simplified_inlet:
         venturi = _admissible(replace, venturi,
                               s_e=size_exhaust(lpm_to_m3s(q_bc), venturi, fcs, consts))
-    return fcs, venturi
+
+    got = (*state_thresholds(fcs, consts), q2_activation_threshold(venturi, consts),
+           activation_threshold(venturi, fcs, consts))
+    if None in got:
+        raise InfeasibleDesignError(f"verification lost a threshold: got {got}")
+    got = tuple(map(m3s_to_lpm, got))
+    if not all(abs(q - goal) <= DESIGN_TOLERANCE * goal
+               for q, goal in zip(got, (q_ab, q_bc, q2_act, q_bc))):
+        raise InfeasibleDesignError(
+            f"tuned config missed the targets: achieved {got[:3]}, injecting from "
+            f"{got[3]:g} L/min, wanted within {DESIGN_TOLERANCE:g} relative")
+    return fcs, venturi, got[:3]
 
 
 def _admissible(make, *args, **fields):
@@ -239,7 +263,7 @@ class SystemConfig:
 _CONSTS, _SPEC = PhysConstants(), prototype(REFERENCE_LABEL)
 _REFERENCE = SystemConfig(_CONSTS, *solve_for_targets(
     DesignTargets(Q_AB_LPM, Q_BC_LPM, Q2_ONSET_LPM), measured_alpha(_SPEC), _SPEC.epsilon,
-    _BLOCKING_CURVE, _INJECTOR, _CONSTS), _FINGER, _HAND)
+    _BLOCKING_CURVE, _INJECTOR, _CONSTS)[:2], _FINGER, _HAND)
 
 
 def default_system() -> SystemConfig:

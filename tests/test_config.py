@@ -190,6 +190,12 @@ def test_bad_knots_reported_with_index():
         load_system({"fcs": {"f_block_knots": [[2.0, 0.99], [1.7, 0.98]]}})
 
 
+def test_knot_span_that_overflows_is_a_config_error():
+    # accepted before, when blocking_force read 0.0 N at 2 L/min
+    with pytest.raises(ConfigError, match=r"^fcs\.f_block_knots: curve knots' x span"):
+        load_system({"fcs": {"f_block_knots": [[-1.7e308, 0.0], [1.7e308, 1.0]]}})
+
+
 def test_read_json_from_file(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"venturi": {"h_t_mm": 30.0}}))

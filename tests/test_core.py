@@ -1,9 +1,12 @@
 """Units, constants, and the piecewise linear calibration curve."""
 
 import math
+from bisect import bisect_left
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowhand.core import (
     PhysConstants,
@@ -107,6 +110,46 @@ def test_curve_rejects_bad_knots():
         PiecewiseLinearCurve(((1.0, 1.0), (1.0, 2.0)))  # duplicate x
     with pytest.raises(ValueError):
         PiecewiseLinearCurve(((0.0, math.nan),))
+
+
+def test_curve_rejects_a_knot_span_that_overflows():
+    # the line through the first two knots reads 0.5 at 0, but x1 - x0
+    # overflowed to inf and the curve read 0.0
+    with pytest.raises(ValueError, match="x span"):
+        PiecewiseLinearCurve(((-1.7e308, 0.0), (1.7e308, 1.0)))
+    with pytest.raises(ValueError, match="y span"):
+        PiecewiseLinearCurve(((0.0, -1.7e308), (1.0, 1.7e308)))
+
+
+def test_flat_last_piece_extends_as_its_own_y():
+    # past the last knot x - x0 overflows to inf, and 0 * inf is nan
+    assert PiecewiseLinearCurve(((-1.7e308, 1.0), (0.0, 1.0)))(1e308) == 1.0
+
+
+# finite knots and flows, often at the ends of the float range, where a
+# difference of two of them overflows
+EDGES = (-1.7e308, -1e308, 0.0, 1.0, 1e308, 1.7e308)
+HUGE = st.one_of(st.sampled_from(EDGES), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(xs=st.lists(HUGE, min_size=1, max_size=5, unique=True),
+       ys=st.lists(HUGE, min_size=5, max_size=5), data=st.data())
+def test_curve_value_is_never_nan_and_stays_between_its_knots(xs, ys, data):
+    xs = sorted(xs)
+    ys = ys[:len(xs)]
+    try:
+        curve = PiecewiseLinearCurve(zip(xs, ys))
+    except ValueError:
+        assert math.isinf(xs[-1] - xs[0]) or math.isinf(max(ys) - min(ys))
+        return
+    x = data.draw(st.one_of(HUGE, st.floats(xs[0], xs[-1])))
+    y = curve(x)
+    assert not math.isnan(y)
+    if xs[0] <= x <= xs[-1]:
+        i = bisect_left(xs, x)
+        below, above = ys[max(i - 1, 0)], ys[i]
+        assert min(below, above) <= y <= max(below, above)
 
 
 def test_curve_monotone_input_monotone_output():

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import flowhand.scenario as scenario_module
+import flowhand.system as system_module
 from flowhand.config import ConfigError, _float, apply_override, load_system
 from flowhand.core import LPM_PER_M3S, lpm_to_m3s, m3s_to_lpm, pa_to_kpa
 from flowhand.fcs import FcsState
@@ -18,7 +19,6 @@ from flowhand.scenario import (
     CSV_HEADER,
     EVENTS,
     MAX_ROWS,
-    DesignReport,
     DesignTargets,
     Scenario,
     Segment,
@@ -166,11 +166,12 @@ def per_segment_warnings(scenario: Scenario) -> list[str]:
     out = []
     for i, seg in enumerate(scenario.segments):
         q = m3s_to_lpm(seg.q_src)
+        shown = repr(q) if f"{q:g}" in ("50", "150") else f"{q:g}"
         if 50.0 < q < 150.0:
-            out.append(f"segment {i}: q_src {q:g} L/min is between the motion band "
+            out.append(f"segment {i}: q_src {shown} L/min is between the motion band "
                        f"(0-50) and the injection command (150)")
         elif q > 150.0:
-            out.append(f"segment {i}: q_src {q:g} L/min exceeds the source maximum (150)")
+            out.append(f"segment {i}: q_src {shown} L/min exceeds the source maximum (150)")
     return out
 
 
@@ -286,12 +287,16 @@ def test_warnings_name_every_offending_segment_of_a_repeated_command():
 
 
 def test_warnings_start_just_past_the_band_edges():
-    sc = Scenario("edges", tuple(seg(1.0, q) for q in (50.0, 150.0, 50.0001, 150.0001, 50.0)))
+    sc = Scenario("edges", tuple(seg(1.0, q) for q in (50.0, 150.0, 50.0001, 150.0001, 50.0,
+                                                       50.0000001, 149.9999999)))
+    gap = "is between the motion band (0-50) and the injection command (150)"
     assert sc.warnings() == [
-        "segment 2: q_src 50.0001 L/min is between the motion band (0-50) and the "
-        "injection command (150)",
-        # :g keeps six digits, so 150.0001 prints as 150
-        "segment 3: q_src 150 L/min exceeds the source maximum (150)"]
+        f"segment 2: q_src 50.0001 L/min {gap}",
+        # :g keeps six digits, so a command that it would print as an
+        # edge prints as its repr
+        "segment 3: q_src 150.0001 L/min exceeds the source maximum (150)",
+        f"segment 5: q_src 50.0000001 L/min {gap}",
+        f"segment 6: q_src 149.9999999 L/min {gap}"]
     assert sc.warnings() == per_segment_warnings(sc)
 
 
@@ -661,11 +666,8 @@ def test_sweep_solves_each_section_once(param, flips, onsets, monkeypatch):
 
 def test_design_search_reproduces_reference():
     targets = DesignTargets(q_ab_lpm=8.1, q_bc_lpm=118.0, q2_activation_lpm=44.0)
-    tuned, report = design_search(targets)
-    assert report.within_tolerance()
-    assert report.achieved[0] == pytest.approx(8.1, abs=0.05)
-    assert report.achieved[1] == pytest.approx(118.0, abs=0.05)
-    assert report.achieved[2] == pytest.approx(44.0, abs=0.05)
+    tuned, achieved = design_search(targets)
+    assert achieved == pytest.approx((8.1, 118.0, 44.0), rel=1e-6)
     # the reference system is design search's own solve at the paper's anchors
     assert tuned == default_system()
 
@@ -702,26 +704,36 @@ def test_design_search_lever_onset_is_the_q_ab_key(targets):
 
 def test_design_search_new_targets():
     targets = DesignTargets(q_ab_lpm=20.0, q_bc_lpm=100.0, q2_activation_lpm=30.0)
-    tuned, report = design_search(targets)
-    assert report.within_tolerance()
-    got_ab, got_bc, got_q2 = report.achieved
+    tuned, (got_ab, got_bc, got_q2) = design_search(targets)
     assert got_ab == pytest.approx(20.0, abs=0.05)
     assert got_bc == pytest.approx(100.0, abs=0.05)
     assert got_q2 == pytest.approx(30.0, abs=0.05)
 
 
 def test_design_search_small_target_exact():
-    _, report = design_search(DesignTargets(q_ab_lpm=0.5, q_bc_lpm=100.0,
-                                            q2_activation_lpm=30.0))
-    assert report.achieved[0] == pytest.approx(0.5, rel=1e-9)
+    _, achieved = design_search(DesignTargets(q_ab_lpm=0.5, q_bc_lpm=100.0,
+                                              q2_activation_lpm=30.0))
+    assert achieved[0] == pytest.approx(0.5, rel=1e-9)
 
 
-def test_design_report_gates_relative_tolerance():
+def test_design_search_gates_relative_tolerance(monkeypatch):
     targets = DesignTargets(q_ab_lpm=0.5, q_bc_lpm=100.0, q2_activation_lpm=30.0)
+    design_search(targets)
+    real = system_module.state_thresholds
+
+    def lever_flip_at(q_lpm):
+        monkeypatch.setattr(system_module, "state_thresholds",
+                            lambda *args: (lpm_to_m3s(q_lpm), real(*args)[1]))
+
     # 0.9 is within 1 L/min of 0.5, but 80 % off
-    report = DesignReport(targets=targets, achieved=(0.9, 100.0, 30.0))
-    assert not report.within_tolerance()
-    assert report._replace(achieved=(0.5, 100.0, 30.0)).within_tolerance()
+    lever_flip_at(0.9)
+    with pytest.raises(InfeasibleDesignError, match="tuned config missed the targets"):
+        design_search(targets)
+    lever_flip_at(0.5 * (1 + 2e-6))
+    with pytest.raises(InfeasibleDesignError, match="tuned config missed the targets"):
+        design_search(targets)
+    lever_flip_at(0.5 * (1 + 5e-7))
+    assert design_search(targets)[1][0] == pytest.approx(0.5, rel=1e-6)
 
 
 def test_design_search_infeasible_order():

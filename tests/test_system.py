@@ -163,13 +163,25 @@ def test_default_system_shares_its_constant_parts():
     # it is still design search's closed-form solve at the paper's anchors
     spec = prototype(REFERENCE_LABEL)
     injector = VenturiConfig(s_in=mm2_to_m2(20.0), s_out=mm2_to_m2(10.0), s_t=mm2_to_m2(3.0))
-    fcs, venturi = solve_for_targets(DesignTargets(8.1, 118.0, 44.0), measured_alpha(spec),
-                                     spec.epsilon, blocking_curve(), injector, CONSTS)
+    fcs, venturi, achieved = solve_for_targets(DesignTargets(8.1, 118.0, 44.0),
+                                               measured_alpha(spec), spec.epsilon,
+                                               blocking_curve(), injector, CONSTS)
     assert (a.consts, a.fcs, a.venturi) == (CONSTS, fcs, venturi)
+    assert achieved == pytest.approx((8.1, 118.0, 44.0), rel=1e-6)
     assert blocking_curve() is blocking_curve() is a.fcs.f_block_curve
     assert blocking_curve().knots == DEFAULT_F_BLOCK_KNOTS
     assert a.finger is b.finger and a.finger == FingerConfig()
     assert a.hand is b.hand and a.hand == HandConfig()
+
+
+def test_reference_system_is_pinned_bit_for_bit():
+    # a change of the solve's arithmetic shows here first: a 4e-16 shift
+    # of s3 once moved a command of exactly 118.0 L/min from C to B
+    system = default_system()
+    assert [v.hex() for v in (system.fcs.s3, system.fcs.f_rot, system.fcs.gamma,
+                              system.venturi.s_out)] == [
+        "0x1.8b428989dd3bep-17", "0x1.d655e59a38237p-10", "0x1.8469ee58469eep-2",
+        "0x1.0f790075ae764p-16"]
 
 
 def test_default_orifice_sized_for_activation():
